@@ -56,6 +56,8 @@ def _parse_grid(spec):
         steps = int(parts[2])
     except ValueError:
         raise _UsageError(f"grid {spec!r} has non-numeric parts") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise _UsageError(f"grid {spec!r} endpoints must be finite")
     if steps < 1:
         raise _UsageError("grid steps must be >= 1")
     if steps == 1:
@@ -189,11 +191,14 @@ def build_parser():
                      description="Spin-pair decoherence in a phonon bath")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("--out", default=None,
+                       help="output file path (default: stdout)")
+
     def common(p):
         p.add_argument("--config", default=None,
                        help="config file path (default: reference sample)")
-        p.add_argument("--out", default=None,
-                       help="output file path (default: stdout)")
+        output(p)
 
     p = sub.add_parser("constants", help="characteristic rate table")
     common(p)
@@ -214,8 +219,9 @@ def build_parser():
     p.add_argument("--vs-grid", required=True, metavar="START:STOP:STEPS")
     p.set_defaults(func=cmd_sweep)
 
+    # every suite runs on the reference sample, so no --config
     p = sub.add_parser("oracle", help="verification suites, JSON report")
-    common(p)
+    output(p)
     p.add_argument("which", choices=("fock", "eigdist", "ksum", "all"))
     p.add_argument("--tol", type=float, default=None,
                    help="relative tolerance for the fock suite")

@@ -176,6 +176,9 @@ def parse_config(text):
             raise ConfigError(
                 f"line {lineno}: non-numeric value for {key}: {rhs!r}"
             ) from None
+        if not math.isfinite(values[key]):
+            raise ConfigError(
+                f"line {lineno}: non-finite value for {key}: {rhs!r}")
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing key {key}")

@@ -135,20 +135,21 @@ def converge(op, schedule, tol):
     """First value along the schedule whose successor moves < tol.
 
     ``op`` maps n_max to a complex trace.  Returns (value, n_used) where
-    the value is the successor (the better of the two estimates).
+    the value is the successor (the better of the two estimates).  When
+    the schedule runs out, ConvergenceError carries its final two
+    estimates as ``last`` and ``previous``.
     """
     schedule = list(schedule)
     if not schedule:
         raise ValueError("schedule must be nonempty")
-    previous = op(schedule[0])
+    last, previous = op(schedule[0]), None
     for n in schedule[1:]:
-        current = op(n)
-        if abs(current - previous) < tol:
-            return current, n
-        previous = current
+        last, previous = op(n), last
+        if abs(last - previous) < tol:
+            return last, n
     raise ConvergenceError(
         f"trace not converged to {tol} within schedule {schedule}",
-        last=previous, previous=None,
+        last=last, previous=previous,
     )
 
 

@@ -23,10 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import eigdist, fock, magicecho, phonon, xprec
+from . import eigdist, fock, phonon, xprec
 from .core import gypsum_config
 from .decoherence import s_mn
-from .magicecho import ReversalSchedule, reversal_exponent_k
+from .magicecho import ideal_echo_schedule, reversal_exponent_k
 
 #: below this closed-form modulus the float64 trace floor dominates
 EXTENDED_THRESHOLD = 1e-2
@@ -59,44 +59,64 @@ def _point_record(kind, inputs, closed, numeric, n_used, method, tol):
     }
 
 
-def _closed_reversal(lm, ln, omega, beta, sched):
-    exponent = reversal_exponent_k(lm, ln, omega, beta, sched)
-    return exponent.s_value()
+def _float64_trace(kind, lm, ln, omega, beta, timing):
+    """Converged float64 trace of one grid point: (value, n_max).
 
-
-def _numeric_point(kind, lm, ln, omega, beta, t, closed, tol):
-    """One grid evaluation, escalating to extended precision as needed."""
+    ``timing`` is the time t of a free point, the ReversalSchedule of a
+    reversal point.
+    """
     if kind == "free":
-        if abs(closed) >= EXTENDED_THRESHOLD:
-            numeric, n_used = fock.converged_s_free(lm, ln, omega, beta, t)
-            method = "float64"
-        else:
-            n_used = xprec.tail_bound_n_max(beta, omega, (lm, ln),
-                                            0.25 * tol * abs(closed))
-            numeric = xprec.s_free_x(lm, ln, omega, beta, t, n_used)
-            method = "extended"
-    else:
-        t_f, t_b, f_b = t / 3.0, 2.0 * t / 3.0, -0.5
-        if abs(closed) >= EXTENDED_THRESHOLD:
-            numeric, n_used = fock.converged_s_reversal(
-                lm, ln, omega, beta, t_f, t_b, f_b)
-            method = "float64"
-        else:
-            n_used = xprec.tail_bound_n_max(beta, omega, (lm, ln),
-                                            0.25 * tol * abs(closed))
-            numeric = xprec.s_reversal_x(lm, ln, omega, beta, t_f, t_b,
-                                         f_b, n_used)
-            method = "extended"
-    return numeric, n_used, method
+        return fock.converged_s_free(lm, ln, omega, beta, timing)
+    return fock.converged_s_reversal(lm, ln, omega, beta, timing.t_F,
+                                     timing.t_B, timing.f_B)
+
+
+def _extended_group(checks, pending, lm, ln, omega, beta, tol):
+    """Double-double records of one (lambda_m, lambda_n, beta) group.
+
+    ``pending`` holds (slot, kind, inputs, closed, timing) per point;
+    each record lands in ``checks[slot]``.  The whole group runs at one
+    cutoff, the largest any of its points needs, and its free and
+    reversal traces share one set of eigensystems.
+    """
+    n_max = max(xprec.tail_bound_n_max(beta, omega, (lm, ln),
+                                       0.25 * tol * abs(closed))
+                for _, _, _, closed, _ in pending)
+    eigensystems = {}
+    free = [p for p in pending if p[1] == "free"]
+    reversal = [p for p in pending if p[1] == "reversal"]
+    numerics = []
+    if free:
+        numerics += xprec.s_free_x(lm, ln, omega, beta,
+                                   [t for *_, t in free], n_max, eigensystems)
+    if reversal:
+        scheds = [sched for *_, sched in reversal]
+        # every reversal point runs the ideal schedule: one f_B
+        numerics += xprec.s_reversal_x(
+            lm, ln, omega, beta, [(s.t_F, s.t_B) for s in scheds],
+            scheds[0].f_B, n_max, eigensystems)
+    for (slot, kind, inputs, closed, _), numeric in zip(free + reversal,
+                                                        numerics):
+        checks[slot] = _point_record(kind, inputs, closed, numeric, n_max,
+                                     "extended", tol)
 
 
 def fock_suite(tol=1e-8, quick=False, omega=1.0):
     """Closed-form vs truncated-Fock agreement over the documented grid.
 
-    The grid times are interpreted as the forward interval; reversal
-    points use the ideal split (t_B = 2 t_F, f_B = -1/2).  Unordered
-    lambda pairs suffice: the conjugate-swap symmetry is asserted
-    separately.
+    Each grid time is the total evolution time; reversal points split it
+    ideally (magicecho.ideal_echo_schedule: t_B = 2 t_F, f_B = -1/2).
+    Unordered lambda pairs suffice: the conjugate-swap symmetry is
+    asserted separately.
+
+    A point whose closed form has modulus at least EXTENDED_THRESHOLD
+    runs the float64 trace under its doubling cutoff rule, and its
+    record's ``n_max`` is the cutoff the trace settled at.  The other
+    points are grouped by (lambda_m, lambda_n, beta) and each group runs
+    on the double-double engine at one cutoff: the largest thermal-tail
+    cutoff any of its points needs (a larger cutoff only shrinks the
+    truncation error).  Their records' ``n_max`` is that group cutoff.
+    Records keep grid order: per time, the free point then the reversal.
     """
     lambdas = QUICK_LAMBDAS if quick else GRID_LAMBDAS
     betas = QUICK_BETAS if quick else GRID_BETAS
@@ -107,25 +127,33 @@ def fock_suite(tol=1e-8, quick=False, omega=1.0):
             lm, ln = lm_u * omega, ln_u * omega
             for beta_w in betas:
                 beta = beta_w / omega
+                pending = []
                 for wt in times:
                     t = wt / omega
                     inputs = {"lambda_m": _fmt_c(complex(lm)),
                               "lambda_n": _fmt_c(complex(ln)),
                               "omega": omega, "beta_omega": beta_w,
                               "omega_t": wt}
-                    closed = s_mn([(omega, lm, ln)], beta, t)
-                    numeric, n_used, method = _numeric_point(
-                        "free", lm, ln, omega, beta, t, closed, tol)
-                    checks.append(_point_record("free", inputs, closed,
-                                                numeric, n_used, method, tol))
-                    sched = ReversalSchedule(t_F=t / 3.0, t_B=2.0 * t / 3.0,
-                                             f_B=-0.5)
-                    closed_r = _closed_reversal(lm, ln, omega, beta, sched)
-                    numeric_r, n_used_r, method_r = _numeric_point(
-                        "reversal", lm, ln, omega, beta, t, closed_r, tol)
-                    checks.append(_point_record("reversal", inputs, closed_r,
-                                                numeric_r, n_used_r,
-                                                method_r, tol))
+                    sched = ideal_echo_schedule(t)
+                    points = (
+                        ("free", s_mn([(omega, lm, ln)], beta, t), t),
+                        ("reversal", reversal_exponent_k(
+                            lm, ln, omega, beta, sched).s_value(), sched),
+                    )
+                    for kind, closed, timing in points:
+                        if abs(closed) >= EXTENDED_THRESHOLD:
+                            numeric, n_used = _float64_trace(
+                                kind, lm, ln, omega, beta, timing)
+                            checks.append(_point_record(
+                                kind, inputs, closed, numeric, n_used,
+                                "float64", tol))
+                        else:
+                            pending.append((len(checks), kind, inputs,
+                                            closed, timing))
+                            checks.append(None)
+                if pending:
+                    _extended_group(checks, pending, lm, ln, omega, beta,
+                                    tol)
     checks.extend(fock_structure_checks(omega=omega, quick=quick))
     return _report("fock", checks)
 

@@ -9,11 +9,18 @@ arithmetic so the relative comparison stays meaningful down to
 |S| ~ 1e-16.
 
 Machinery: double-double (pairs of float64) arithmetic vectorized over
-numpy arrays; exact-product sliced matrix multiplication so BLAS does
-the heavy lifting; tridiagonal reduction of M + f*J by a diagonal phase
+numpy arrays; exact-product sliced matrix multiplication (Ozaki, Ogita,
+Oishi & Rump, Numer. Algorithms 59, 2012) so BLAS does the heavy
+lifting, each slice product added into the double-double sum as it is
+formed; tridiagonal reduction of M + f*J by a diagonal phase
 similarity; eigenpairs refined by inverse iteration plus Rayleigh
 quotients in double-double.  mpmath supplies only scalar phases and
 thermal weights (cheap, and independent of the matrix algebra).
+
+The traces take a sequence of times.  Eigensystems and overlaps do not
+depend on t and are built once per call; an eigensystem depends only on
+the cutoff and |f*lambda|, and callers share them across calls through
+one ``eigensystems`` dict.
 """
 
 from __future__ import annotations
@@ -170,6 +177,17 @@ def cdd_to_complex(x):
 # sliced exact-product matrix multiplication (double-double via BLAS)
 # ---------------------------------------------------------------------------
 
+def _dd_add_f(x, p):
+    """x + p for double-double x and float64 p.
+
+    The same bits as dd_add(x, dd(p)): with a zero low word, dd_add's
+    second two_sum and its final renormalization change nothing.
+    dd_matmul adds each slice product with it.
+    """
+    s, e = _two_sum(x[0], p)
+    return _fast_two_sum(s, e + x[1])
+
+
 def _slice_matrix(x, delta, axis, n_slices):
     """Split a dd matrix into float64 slices of <= delta significand bits.
 
@@ -178,24 +196,30 @@ def _slice_matrix(x, delta, axis, n_slices):
     the right) so slice products accumulate exactly in float64 dot
     products.  The extraction (r + sigma) - sigma is exact rounding.
     """
-    r = (x[0].copy(), x[1].copy())
+    r = x
     slices = []
-    for _ in range(n_slices):
+    while True:
         mu = np.max(np.abs(r[0]), axis=axis, keepdims=True)
         _, expo = np.frexp(mu)  # mu < 2**expo
         sigma = np.ldexp(1.0, expo + (53 - delta))
         s = (r[0] + sigma) - sigma
         slices.append(s)
-        r = dd_sub(r, (s, np.zeros_like(s)))
-    return slices
+        if len(slices) == n_slices:
+            return slices
+        # s is r[0] rounded to a multiple of 2**(expo - delta), so
+        # r[0] - s is exact and only the renormalization remains
+        r = _fast_two_sum(r[0] - s, r[1])
 
 
 def dd_matmul(a, b, n_slices=6):
     """C = A @ B for double-double matrices, accurate to ~1e-30 relative.
 
     Each operand is sliced into limited-significand float64 matrices
-    whose pairwise products are exact in BLAS; the products are then
-    accumulated smallest-first in double-double.
+    whose pairwise products are exact in BLAS.  Products of slices i, j
+    with i + j > n_slices lie below the target precision and are
+    skipped; the rest are added into the double-double sum as they are
+    formed, smallest first: level i + j from n_slices down to 0, i
+    ascending within a level.
     """
     k = a[0].shape[1]
     if b[0].shape[0] != k:
@@ -203,16 +227,11 @@ def dd_matmul(a, b, n_slices=6):
     delta = int((53 - math.ceil(math.log2(max(k, 2)))) // 2)
     a_slices = _slice_matrix(a, delta, axis=1, n_slices=n_slices)
     b_slices = _slice_matrix(b, delta, axis=0, n_slices=n_slices)
-    products = []
-    for i, ai in enumerate(a_slices):
-        for j, bj in enumerate(b_slices):
-            if i + j >= n_slices + 1:
-                continue  # below target precision
-            products.append((i + j, ai @ bj))
-    products.sort(key=lambda item: -item[0])  # smallest magnitudes first
     acc = dd(np.zeros((a[0].shape[0], b[0].shape[1])))
-    for _, p in products:
-        acc = dd_add(acc, (p, np.zeros_like(p)))
+    for level in range(n_slices, -1, -1):
+        for i in range(max(0, level - n_slices + 1),
+                       min(level, n_slices - 1) + 1):
+            acc = _dd_add_f(acc, a_slices[i] @ b_slices[level - i])
     return acc
 
 
@@ -370,27 +389,32 @@ def _mp_ctx():
     return ctx
 
 
-def _mode_system(omega, lam, f, n_max, ctx):
+def _mode_system(omega, lam, f, n_max, ctx, eigensystems):
     """Tridiagonal reduction of M + f*J and its dd eigensystem.
 
     M + f*J has constant off-diagonal phase; the diagonal similarity
     diag(u^j) with u = (f*lam)*/|f*lam| makes it real symmetric with
-    off-diagonal |f*lam| sqrt(j).  Returns (E dd, V dd, u mpc).
+    off-diagonal |f*lam| sqrt(j).  The eigensystem depends on lam and f
+    only through |f*lam|, so ``eigensystems`` keeps one per (omega,
+    n_max, |f*lam|) and every (lam, f) that reduces to it shares it.
+    Returns (E dd, V dd, u mpc).
     """
-    n = np.arange(n_max + 1, dtype=float)
-    diag_dd = _two_prod(np.full(n_max + 1, float(omega)), n)
     z = ctx.mpc(lam.real, lam.imag) * f
     mag = abs(z)
-    if mag == 0:
-        u = ctx.mpc(1, 0)
-        off_dd = dd(np.zeros(n_max))
-    else:
-        u = ctx.conj(z) / mag
-        mag_dd = dd_from_mpf(mag)
-        root = dd_sqrt(dd(np.arange(1, n_max + 1, dtype=float)))
-        off_dd = dd_mul(root, (np.full(n_max, mag_dd[0]),
-                               np.full(n_max, mag_dd[1])))
-    eigvals, vectors = tridiag_eigh_dd(diag_dd, off_dd)
+    u = ctx.mpc(1, 0) if mag == 0 else ctx.conj(z) / mag
+    key = (float(omega), n_max, mag)
+    if key not in eigensystems:
+        n = np.arange(n_max + 1, dtype=float)
+        diag_dd = _two_prod(np.full(n_max + 1, float(omega)), n)
+        if mag == 0:
+            off_dd = dd(np.zeros(n_max))
+        else:
+            mag_dd = dd_from_mpf(mag)
+            root = dd_sqrt(dd(np.arange(1, n_max + 1, dtype=float)))
+            off_dd = dd_mul(root, (np.full(n_max, mag_dd[0]),
+                                   np.full(n_max, mag_dd[1])))
+        eigensystems[key] = tridiag_eigh_dd(diag_dd, off_dd)
+    eigvals, vectors = eigensystems[key]
     return eigvals, vectors, u
 
 
@@ -454,12 +478,21 @@ def tail_bound_n_max(beta, omega, lambdas, target_abs):
     return int(math.ceil(n_tail + 4.0 * disp + 20.0))
 
 
-def s_free_x(lambda_m, lambda_n, omega, beta, t, n_max):
-    """Extended-precision Tr[exp(-iH_m t) Theta exp(+iH_n t)]."""
+def s_free_x(lambda_m, lambda_n, omega, beta, times, n_max,
+             eigensystems=None):
+    """Extended-precision Tr[exp(-iH_m t) Theta exp(+iH_n t)] per t in times.
+
+    Eigensystems and overlaps do not depend on t and are built once per
+    call; each time adds only its two phase vectors and the weighted
+    sum.  Calls at one cutoff that pass the same ``eigensystems`` dict
+    build each distinct tridiagonal once between them.
+    """
     ctx = _mp_ctx()
+    if eigensystems is None:
+        eigensystems = {}
     lm, ln = complex(lambda_m), complex(lambda_n)
-    e_m, v_m, u_m = _mode_system(omega, lm, 1.0, n_max, ctx)
-    e_n, v_n, u_n = _mode_system(omega, ln, 1.0, n_max, ctx)
+    e_m, v_m, u_m = _mode_system(omega, lm, 1.0, n_max, ctx, eigensystems)
+    e_n, v_n, u_n = _mode_system(omega, ln, 1.0, n_max, ctx, eigensystems)
     pow_m = _unit_powers(u_m, n_max, ctx)
     pow_n = _unit_powers(u_n, n_max, ctx)
     weights = _thermal_weights(beta, omega, n_max, ctx)
@@ -470,28 +503,37 @@ def s_free_x(lambda_m, lambda_n, omega, beta, t, n_max):
     a_mat = _diag_scaled_overlap(v_m, _cdd_vector(c_a), v_n)
     b_mat = _diag_scaled_overlap(v_n, _cdd_vector([ctx.conj(c) for c in c_b]),
                                  v_m)
-    p_m = _phase_vector(e_m, t, -1, ctx)
-    p_n = _phase_vector(e_n, t, +1, ctx)
     # S = sum_jl pm_j A_jl B_lj pn_l
     b_t = (dd_transpose(b_mat[0]), dd_transpose(b_mat[1]))
-    prod = cdd_mul(a_mat, b_t)
-    col = ((p_n[0][0][None, :], p_n[0][1][None, :]),
-           (p_n[1][0][None, :], p_n[1][1][None, :]))
-    prod = cdd_mul(prod, col)
-    rows = cdd_sum(prod, axis=1)
-    total = cdd_sum(cdd_mul(rows, p_m), axis=0)
-    return cdd_to_complex(total)
+    a_b = cdd_mul(a_mat, b_t)
+    values = []
+    for t in times:
+        p_m = _phase_vector(e_m, t, -1, ctx)
+        p_n = _phase_vector(e_n, t, +1, ctx)
+        col = ((p_n[0][0][None, :], p_n[0][1][None, :]),
+               (p_n[1][0][None, :], p_n[1][1][None, :]))
+        rows = cdd_sum(cdd_mul(a_b, col), axis=1)
+        values.append(cdd_to_complex(cdd_sum(cdd_mul(rows, p_m), axis=0)))
+    return values
 
 
-def s_reversal_x(lambda_m, lambda_n, omega, beta, t_F, t_B, f_B, n_max):
-    """Extended-precision five-factor reversal trace."""
+def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
+                 eigensystems=None):
+    """Extended-precision five-factor reversal trace per (t_F, t_B) in times.
+
+    The four overlaps are built once per call; each time adds its four
+    phase vectors and two complex dd matmuls.  ``eigensystems`` is
+    shared as in s_free_x.
+    """
     ctx = _mp_ctx()
+    if eigensystems is None:
+        eigensystems = {}
     lm, ln = complex(lambda_m), complex(lambda_n)
     systems = [
-        _mode_system(omega, lm, f_B, n_max, ctx),   # 1: backward, m
-        _mode_system(omega, lm, 1.0, n_max, ctx),   # 2: forward, m
-        _mode_system(omega, ln, 1.0, n_max, ctx),   # 3: forward, n
-        _mode_system(omega, ln, f_B, n_max, ctx),   # 4: backward, n
+        _mode_system(omega, lm, f_B, n_max, ctx, eigensystems),  # 1: back, m
+        _mode_system(omega, lm, 1.0, n_max, ctx, eigensystems),  # 2: fwd, m
+        _mode_system(omega, ln, 1.0, n_max, ctx, eigensystems),  # 3: fwd, n
+        _mode_system(omega, ln, f_B, n_max, ctx, eigensystems),  # 4: back, n
     ]
     powers = [_unit_powers(u, n_max, ctx) for _, _, u in systems]
     weights = _thermal_weights(beta, omega, n_max, ctx)
@@ -508,10 +550,6 @@ def s_reversal_x(lambda_m, lambda_n, omega, beta, t_F, t_B, f_B, n_max):
     g_theta = overlap(1, 2, extra=weights)
     g34 = overlap(2, 3)
     g41 = overlap(3, 0)
-    p1 = _phase_vector(systems[0][0], t_B, -1, ctx)
-    p2 = _phase_vector(systems[1][0], t_F, -1, ctx)
-    p3 = _phase_vector(systems[2][0], t_F, +1, ctx)
-    p4 = _phase_vector(systems[3][0], t_B, +1, ctx)
 
     def scale(mat, row, col):
         row_b = ((row[0][0][:, None], row[0][1][:, None]),
@@ -520,8 +558,15 @@ def s_reversal_x(lambda_m, lambda_n, omega, beta, t_F, t_B, f_B, n_max):
                  (col[1][0][None, :], col[1][1][None, :]))
         return cdd_mul(cdd_mul(row_b, mat), col_b)
 
-    x_mat = cdd_matmul(scale(g12, p1, p2), g_theta)
-    y_mat = cdd_matmul(scale(g34, p3, p4), g41)
-    y_t = (dd_transpose(y_mat[0]), dd_transpose(y_mat[1]))
-    total = cdd_sum(cdd_sum(cdd_mul(x_mat, y_t), axis=1), axis=0)
-    return cdd_to_complex(total)
+    values = []
+    for t_F, t_B in times:
+        p1 = _phase_vector(systems[0][0], t_B, -1, ctx)
+        p2 = _phase_vector(systems[1][0], t_F, -1, ctx)
+        p3 = _phase_vector(systems[2][0], t_F, +1, ctx)
+        p4 = _phase_vector(systems[3][0], t_B, +1, ctx)
+        x_mat = cdd_matmul(scale(g12, p1, p2), g_theta)
+        y_mat = cdd_matmul(scale(g34, p3, p4), g41)
+        y_t = (dd_transpose(y_mat[0]), dd_transpose(y_mat[1]))
+        total = cdd_sum(cdd_sum(cdd_mul(x_mat, y_t), axis=1), axis=0)
+        values.append(cdd_to_complex(total))
+    return values

@@ -108,6 +108,9 @@ def test_evolve_bad_grid(capsys):
     assert run(["evolve", "--grid", "nope"]) == 1
     assert run(["evolve", "--grid", "0:1:0"]) == 1
     assert run(["evolve", "--grid", "1:0:5"]) == 1
+    for spec in ("nan:1e-4:3", "0:inf:3", "0:-inf:3", "nan:nan:1"):
+        assert run(["evolve", "--grid", spec]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_evolve_deterministic(tmp_path):
@@ -153,6 +156,12 @@ def test_oracle_eigdist(tmp_path):
     assert run(["oracle", "eigdist", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["failures"] == 0
+
+
+def test_oracle_rejects_config(capsys):
+    # every suite runs on the reference sample
+    assert run(["oracle", "eigdist", "--config", "/nonexistent"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_compare_round_trip(tmp_path):

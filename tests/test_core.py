@@ -64,6 +64,9 @@ def test_parse_config_roundtrip():
     ("d_m = x", "non-numeric"),
     ("d_m 0.1", "expected 'key = value'"),
     ("d_m = 1\nd_m = 2", "duplicate key"),
+    ("d_m = inf", "non-finite value for d_m"),
+    ("a_m = nan", "non-finite value for a_m"),
+    ("N = -inf", "non-finite value for N"),
 ])
 def test_parse_config_errors(text, fragment):
     with pytest.raises(core.ConfigError, match=fragment):

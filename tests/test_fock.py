@@ -101,8 +101,10 @@ def test_cutoff_schedule_monotone_in_temperature():
 
 
 def test_converge_exhaustion():
-    with pytest.raises(fock.ConvergenceError):
+    with pytest.raises(fock.ConvergenceError) as info:
         fock.converge(lambda n: complex(n), [2, 4, 8], 0.0)
+    assert info.value.last == 8.0
+    assert info.value.previous == 4.0
     with pytest.raises(ValueError):
         fock.converge(lambda n: 1.0 + 0j, [], 1e-10)
 

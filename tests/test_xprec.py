@@ -82,6 +82,21 @@ def test_dd_matmul_wide_dynamic_range():
     assert err < 1e-28
 
 
+def test_dd_add_f_matches_dd_add_bits():
+    # dd_matmul adds its slice products with this shortcut
+    rng = np.random.default_rng(17)
+    n = 4000
+    hi = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    x = xp.dd_add(xp.dd(hi), xp.dd(rng.standard_normal(n) * 1e-20))
+    p = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    p[:1000] = -x[0][:1000]                          # exact cancellation
+    p[1000:2000] = -x[0][1000:2000] * (1.0 + 2.0**-52)
+    p[2000:2500] = 0.0
+    got, want = xp._dd_add_f(x, p), xp.dd_add(x, xp.dd(p))
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
 def test_tridiag_eigh_dd_accuracy():
     n = 80
     diag = xp.dd(np.arange(n, dtype=float) * 1.0)
@@ -108,8 +123,8 @@ def test_tail_bound_n_max():
 def test_s_free_x_matches_float64_easy_point():
     lm, ln, beta, t = 0.3, -0.2j, 1.0, 0.5
     s64, _ = fock.converged_s_free(lm, ln, 1.0, beta, t)
-    sx = xp.s_free_x(lm, ln, 1.0, beta, t,
-                     xp.tail_bound_n_max(beta, 1.0, (lm, ln), 1e-20))
+    sx, = xp.s_free_x(lm, ln, 1.0, beta, [t],
+                      xp.tail_bound_n_max(beta, 1.0, (lm, ln), 1e-20))
     assert abs(sx - s64) < 5e-10
 
 
@@ -118,7 +133,7 @@ def test_s_free_x_matches_closed_form_hard_point():
     lm, ln, beta, t = 0.5, -0.3, 0.1, math.pi
     closed = s_mn([(1.0, lm, ln)], beta, t)
     n = xp.tail_bound_n_max(beta, 1.0, (lm, ln), 0.25e-8 * abs(closed))
-    sx = xp.s_free_x(lm, ln, 1.0, beta, t, n)
+    sx, = xp.s_free_x(lm, ln, 1.0, beta, [t], n)
     assert abs(sx - closed) / abs(closed) < 1e-10
 
 
@@ -128,13 +143,44 @@ def test_s_reversal_x_matches_closed_form_hard_point():
     sched = ReversalSchedule(t_F=t_f, t_B=2 * t_f, f_B=-0.5)
     closed = reversal_exponent_k(lm, ln, 1.0, beta, sched).s_value()
     n = xp.tail_bound_n_max(beta, 1.0, (lm, ln), 0.25e-8 * abs(closed))
-    sx = xp.s_reversal_x(lm, ln, 1.0, beta, t_f, 2 * t_f, -0.5, n)
+    sx, = xp.s_reversal_x(lm, ln, 1.0, beta, [(t_f, 2 * t_f)], -0.5, n)
     assert abs(sx - closed) / abs(closed) < 1e-10
 
 
 def test_s_reversal_x_f1_additivity():
     lm, ln, beta = 0.3, -0.2j, 1.0
     n = xp.tail_bound_n_max(beta, 1.0, (lm, ln), 1e-20)
-    r = xp.s_reversal_x(lm, ln, 1.0, beta, 0.5, 1.0, 1.0, n)
-    f = xp.s_free_x(lm, ln, 1.0, beta, 1.5, n)
+    r, = xp.s_reversal_x(lm, ln, 1.0, beta, [(0.5, 1.0)], 1.0, n)
+    f, = xp.s_free_x(lm, ln, 1.0, beta, [1.5], n)
     assert abs(r - f) < 1e-25
+
+
+def test_multi_time_traces_equal_single_time_calls():
+    lm, ln, beta, n = 0.3, -0.2j, 1.0, 60
+    times = [0.5, 1.3, math.pi]
+    free = xp.s_free_x(lm, ln, 1.0, beta, times, n)
+    assert free == [xp.s_free_x(lm, ln, 1.0, beta, [t], n)[0]
+                    for t in times]
+    pairs = [(t / 3.0, 2.0 * t / 3.0) for t in times]
+    rev = xp.s_reversal_x(lm, ln, 1.0, beta, pairs, -0.5, n)
+    assert rev == [xp.s_reversal_x(lm, ln, 1.0, beta, [p], -0.5, n)[0]
+                   for p in pairs]
+
+
+def test_group_builds_each_tridiagonal_once(monkeypatch):
+    builds = []
+    build = xp.tridiag_eigh_dd
+
+    def counted(diag, off):
+        builds.append(float(off[0][0]))  # |f lambda| * sqrt(1)
+        return build(diag, off)
+
+    monkeypatch.setattr(xp, "tridiag_eigh_dd", counted)
+    # |f lambda| takes two values over the four reversal systems
+    eigensystems = {}
+    xp.s_reversal_x(0.3, -0.3, 1.0, 1.0, [(0.5, 1.0), (1.0, 2.0)], -0.5, 40,
+                    eigensystems)
+    assert sorted(builds) == pytest.approx([0.15, 0.3])
+    # a free trace at the same cutoff reuses them
+    xp.s_free_x(0.3, -0.3, 1.0, 1.0, [1.5], 40, eigensystems)
+    assert len(builds) == 2
