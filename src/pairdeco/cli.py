@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage/config error, 2 oracle failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -19,6 +20,11 @@ from . import magicecho, oracles, phonon
 from .core import ConfigError, gypsum_config, parse_config
 
 _LEVEL_TAGS = ("Tp", "T0", "Tm", "S")
+#: rows evolve computes per call; it bounds the (rows, 4, 4) arrays, so
+#: peak memory does not grow with the length of the grid
+_EVOLVE_BLOCK_ROWS = 128
+#: one evolve row, t then re and im of each element, as csv.writer emits it
+_EVOLVE_ROW = ",".join(["%.17g"] * 33) + "\r\n"
 
 
 class _UsageError(Exception):
@@ -67,8 +73,14 @@ def _parse_grid(spec):
     return np.linspace(start, stop, steps)
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path):
+    """The --out file, closed on exit, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as out:
+        yield out
 
 
 def cmd_constants(args):
@@ -88,15 +100,11 @@ def cmd_constants(args):
         ("sigma_X", rates.sigma_X),
         ("sigma_Xprime", rates.sigma_Xprime),
     ]
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["quantity", "value"])
         for name, value in rows:
             writer.writerow([name, _fmt(value)])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -114,20 +122,15 @@ def cmd_evolve(args):
     for i in _LEVEL_TAGS:
         for j in _LEVEL_TAGS:
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for t in t_grid:
-            sigma = evolve(cfg, sigma0, float(t), exact_path=args.exact_path)
-            row = [_fmt(t)]
-            for i in range(4):
-                for j in range(4):
-                    row += [_fmt(sigma[i, j].real), _fmt(sigma[i, j].imag)]
-            writer.writerow(row)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(args.out) as out:
+        csv.writer(out).writerow(header)
+        for start in range(0, len(t_grid), _EVOLVE_BLOCK_ROWS):
+            times = t_grid[start:start + _EVOLVE_BLOCK_ROWS]
+            sigma = evolve(cfg, sigma0, times, exact_path=args.exact_path)
+            parts = np.stack([sigma.real, sigma.imag], axis=-1)
+            rows = np.column_stack([times, parts.reshape(len(times), 32)])
+            out.write("".join(_EVOLVE_ROW % tuple(row)
+                              for row in rows.tolist()))
     return 0
 
 
@@ -135,8 +138,7 @@ def cmd_sweep(args):
     cfg = _load_config(args.config)
     n_grid = _parse_grid(args.n_grid)
     vs_grid = _parse_grid(args.vs_grid)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["N", "v_s_mps", "tau_X_s"])
         for n in n_grid:
@@ -146,24 +148,19 @@ def cmd_sweep(args):
                                     v_s=float(vs))
                 rates = phonon.rate_constants(sub)
                 writer.writerow([_fmt(n), _fmt(vs), _fmt(rates.tau_X)])
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_oracle(args):
     tol = args.tol if args.tol is not None else 1e-8
+    if not (math.isfinite(tol) and tol > 0):
+        raise _UsageError(f"--tol must be finite and > 0, got {tol!r}")
     reports = oracles.run_suites(which=args.which, tol=tol, quick=args.quick)
     payload = {"reports": reports,
                "failures": sum(r["failures"] for r in reports)}
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 2 if payload["failures"] else 0
 
 
@@ -177,12 +174,8 @@ def cmd_compare(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = magicecho.compare_experiment(records, cfg.v_s, cfg.N)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         magicecho.write_comparison_csv(report, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -191,19 +191,6 @@ def parse_config(text):
     return PhysicalConfig(**kwargs)
 
 
-@dataclass(frozen=True)
-class ModeSpec:
-    """One bath mode: wavenumber, frequency and complex coupling amplitude."""
-
-    k: float          # 1/m
-    omega: float      # rad/s
-    g: complex        # coupling amplitude, m
-
-    def __post_init__(self):
-        if self.omega < 0:
-            raise ConfigError("omega >= 0 violated")
-
-
 def max_beta_omega(cfg):
     """beta*omega at the top of the acoustic band, omega_max = 2 v_s/a.
 

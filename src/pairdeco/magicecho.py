@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KAPPA_VALUES, ConfigError, coth
+from .core import ConfigError, coth
 from .decoherence import DecoherenceExponent, SingularModeError
 from . import phonon
 
@@ -147,29 +147,14 @@ def me_sigma(cfg, sigma0, t, exact_path=False):
     the energy phases cancel, the envelope time constant doubles.  The
     exact path keeps the slow kernels, all evaluated at half the total
     time (the echoed linear parts sum to t/2), plus the near-unity G'.
+    Both are free evolution at t/2 without the nu0 phase, which is how
+    this is computed: t/2 is exact, so dk (t/2)/tau_X = dk t/(2 tau_X).
+
+    t is a time or a 1-D array of times, as for phonon.free_sigma.
     """
-    if t < 0:
-        raise ValueError("t >= 0 required")
-    sigma0 = np.asarray(sigma0, dtype=complex)
-    if sigma0.shape != (4, 4):
-        raise ValueError("sigma0 must be 4x4")
-    rates = phonon.rate_constants(cfg)
-    kappa = np.array(KAPPA_VALUES, dtype=float)
-    dk = np.subtract.outer(kappa, kappa)
-    tau_echo = 2.0 * rates.tau_X
-    envelope = (np.exp(-((dk * t / tau_echo) ** 2))
-                if math.isfinite(rates.tau_X) else np.ones_like(dk))
-    out = sigma0 * envelope
-    if exact_path:
-        half = t / 2.0
-        ksq = np.subtract.outer(kappa**2, kappa**2)
-        out = out * np.exp(2.0j * math.pi * rates.nuD * ksq * half)
-        if math.isfinite(rates.tau_gamma):
-            out = out * np.exp(-(dk**2) * half / rates.tau_gamma)
-        gp = np.vectorize(
-            lambda e: phonon._gprime(rates, cfg, abs(e)))(dk)
-        out = out * gp
-    return out
+    half = np.asarray(t, dtype=float) / 2.0
+    return phonon._evolve_sigma(cfg, sigma0, half, exact_path,
+                               energy_phase=False)
 
 
 def me_amplitude(cfg, t_total):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -15,6 +16,10 @@ v_s_mps = 4570
 T_K = 300
 N = 1e23
 """
+
+
+MAGIC_CONFIG = (GOOD_CONFIG
+                + f"theta_rad = {math.acos(1.0 / math.sqrt(3.0))!r}\n")
 
 
 def run(args):
@@ -41,8 +46,7 @@ def test_constants_from_config_file(tmp_path, capsys):
 
 def test_constants_magic_angle_inf(tmp_path, capsys):
     path = tmp_path / "magic.cfg"
-    theta = math.acos(1.0 / math.sqrt(3.0))
-    path.write_text(GOOD_CONFIG + f"theta_rad = {theta!r}\n")
+    path.write_text(MAGIC_CONFIG)
     assert run(["constants", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "tau_X_s,inf" in out
@@ -113,6 +117,21 @@ def test_evolve_bad_grid(capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["free", "me"])
+def test_evolve_gprime_invalid_default_path_is_config_error(mode, tmp_path,
+                                                           capsys):
+    # at N = 1e40 the default path would drop a G' factor of about 0
+    path = tmp_path / "huge.cfg"
+    path.write_text(GOOD_CONFIG.replace("1e23", "1e40"))
+    assert run(["evolve", "--config", str(path), "--mode", mode,
+                "--grid", "0:1e-4:3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: G' = ") and "--exact-path" in err
+    assert len(err.splitlines()) == 1
+    assert run(["evolve", "--config", str(path), "--mode", mode,
+                "--exact-path", "--grid", "0:1e-4:3"]) == 0
+
+
 def test_evolve_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(["evolve", "--grid", "0:0.0001:11", "--out", str(a)])
@@ -144,11 +163,22 @@ def test_oracle_quick_and_exit_codes(tmp_path):
     assert run(["oracle", "ksum", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["failures"] == 0
-    # impossible tolerance must fail with exit code 2
-    assert run(["oracle", "fock", "--quick", "--tol", "0",
+    # a tolerance no float64 trace can meet must fail with exit code 2
+    assert run(["oracle", "fock", "--quick", "--tol", "1e-300",
                 "--out", str(out)]) == 2
     payload = json.loads(out.read_text())
     assert payload["failures"] > 0
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
+def test_oracle_rejects_bad_tol(tol, tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "fock", "--quick", "--tol", tol,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--tol" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_oracle_eigdist(tmp_path):
@@ -186,3 +216,93 @@ def test_compare_errors(tmp_path, capsys):
     bad.write_text("nu_hat_khz,tau_exp_us\n50.4,xyz\n")
     assert run(["compare", str(bad)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+# SHA-256 of each golden invocation's output, which must be the same bytes
+# on stdout and through --out; evolve cases are named
+# evolve-<mode>-<path>-<sample>-<rows>, rows one block or several.
+GOLDEN_SHA256 = {
+    "constants":
+        "793fcc32a974dd97c80391e901bb1f0b6a951923ca2711b6cf11b2c8a2e788f2",
+    "sweep":
+        "f0e66df685f166b592fbd92346bfc5bc93127aca9f717e4e0504403003daf211",
+    "compare":
+        "9d8ed2bf649f82e783a255d8a3bb3b06e4cb9d56d419479187d3f5980c644879",
+    "evolve-free-default-reference-1":
+        "9ceea58b5a481e2b16cb54a95dd49db373db87f557ca9e57c9b7155f95b6850f",
+    "evolve-free-default-reference-301":
+        "b6171c39ff53b4015c7fc70b048cf3dfadd15af64018fed56105145d285a4f96",
+    "evolve-free-default-magic-1":
+        "b43c69991fe081631c73d33cfd6c19b39e2a08f182b02ece7db39f9d980e3d1b",
+    "evolve-free-default-magic-301":
+        "f71e488d82c07a597664e112d3330f16c2c2591812ac4d3c86efbc3cb97528af",
+    "evolve-free-exact-reference-1":
+        "9f713d68cff96b70e4ce531248e1ffed34181f24dff406c30966a49c7fe6421b",
+    "evolve-free-exact-reference-301":
+        "67c8741fb3d3d63e3dd0d2c5ff4b707b4f7d76b10fb7eb2bcf8cc1578752b4d7",
+    "evolve-free-exact-magic-1":
+        "b43c69991fe081631c73d33cfd6c19b39e2a08f182b02ece7db39f9d980e3d1b",
+    "evolve-free-exact-magic-301":
+        "f71e488d82c07a597664e112d3330f16c2c2591812ac4d3c86efbc3cb97528af",
+    "evolve-me-default-reference-1":
+        "a89a9e884c52b3cbdac2584172360e02e4f83235dda8d05a140511c36f2635d9",
+    "evolve-me-default-reference-301":
+        "0c67ccd85a0698d0b3df1bf6ef646ca20df67b8037b57ca14afaaa945b3400db",
+    "evolve-me-default-magic-1":
+        "b43c69991fe081631c73d33cfd6c19b39e2a08f182b02ece7db39f9d980e3d1b",
+    "evolve-me-default-magic-301":
+        "f71e488d82c07a597664e112d3330f16c2c2591812ac4d3c86efbc3cb97528af",
+    "evolve-me-exact-reference-1":
+        "9207a79f3653936a86812074a88a2da052f84f1422d9ce410010217a7f2ab6e8",
+    "evolve-me-exact-reference-301":
+        "d615000145bae757e57f28aa585c1342f37e6ef281793e8eb6389fbeb52cb3fb",
+    "evolve-me-exact-magic-1":
+        "b43c69991fe081631c73d33cfd6c19b39e2a08f182b02ece7db39f9d980e3d1b",
+    "evolve-me-exact-magic-301":
+        "f71e488d82c07a597664e112d3330f16c2c2591812ac4d3c86efbc3cb97528af",
+}
+EVOLVE_GRIDS = {"1": "0.0001:0.0001:1", "301": "0:0.0004:301"}
+
+
+def _golden_args(name, tmp_path):
+    if name == "constants":
+        return ["constants"]
+    if name == "sweep":
+        return ["sweep", "--n-grid", "1e21:1e24:4",
+                "--vs-grid", "3000:6000:3"]
+    if name == "compare":
+        data = tmp_path / "exp.csv"
+        data.write_text("nu_hat_khz,tau_exp_us\n50.4,120.5\n12.25,1800\n"
+                        "33,410.75\n")
+        return ["compare", str(data)]
+    _, mode, path, sample, rows = name.split("-")
+    args = ["evolve", "--mode", mode, "--grid", EVOLVE_GRIDS[rows]]
+    if path == "exact":
+        args.append("--exact-path")
+    if sample == "magic":
+        config = tmp_path / "magic.cfg"
+        config.write_text(MAGIC_CONFIG)
+        args += ["--config", str(config)]
+    return args
+
+
+def _golden_names():
+    names = ["constants", "sweep", "compare"]
+    for mode in ("free", "me"):
+        for path in ("default", "exact"):
+            for sample in ("reference", "magic"):
+                names += [f"evolve-{mode}-{path}-{sample}-{rows}"
+                          for rows in EVOLVE_GRIDS]
+    return names
+
+
+@pytest.mark.parametrize("name", _golden_names())
+def test_golden_output_bytes(name, tmp_path, capsys):
+    args = _golden_args(name, tmp_path)
+    out = tmp_path / "out.csv"
+    assert run(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+    capsys.readouterr()
+    assert run(args) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == GOLDEN_SHA256[name]

@@ -73,6 +73,28 @@ def test_free_sigma_hermitian_traceless(t):
     assert abs(np.trace(s)) < 1e-25
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("evolve", [phonon.free_sigma, me.me_sigma])
+@settings(max_examples=25)
+@given(st.lists(st.floats(min_value=0.0, max_value=2e-3), max_size=40))
+def test_times_array_is_stack_of_scalar_calls(evolve, exact, times):
+    s0 = phonon.initial_after_pulse(CFG.omega0_larmor, CFG.T)
+    times = np.array([0.0] + sorted(times))
+    stacked = np.stack([evolve(CFG, s0, float(t), exact_path=exact)
+                        for t in times])
+    assert np.array_equal(evolve(CFG, s0, times, exact_path=exact), stacked)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("evolve", [phonon.free_sigma, me.me_sigma])
+def test_sigma_at_zero_is_sigma0(evolve, exact):
+    # on the exact path G' multiplies sigma(0) too; at the reference
+    # sample it is 1 - 1.2e-10, so this pins the size of that effect
+    s0 = phonon.initial_after_pulse(CFG.omega0_larmor, CFG.T)
+    s = evolve(CFG, s0, 0.0, exact_path=exact)
+    assert np.all(np.abs(s - s0) <= 1e-9 * np.abs(s0))
+
+
 @given(st.floats(min_value=0.0, max_value=5e-4),
        st.floats(min_value=1.0, max_value=3.0))
 def test_envelope_monotone(t, factor):
