@@ -12,6 +12,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -75,12 +76,18 @@ def _parse_grid(spec):
 
 @contextlib.contextmanager
 def _output(path):
-    """The --out file, closed on exit, or stdout when no path is given."""
+    """The --out file, closed on exit and removed if the body raises (no
+    partial output), or stdout when no path is given."""
     if not path:
         yield sys.stdout
         return
-    with open(path, "w", newline="") as out:
-        yield out
+    out = open(path, "w", newline="")
+    try:
+        with out:
+            yield out
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def cmd_constants(args):
@@ -95,8 +102,8 @@ def cmd_constants(args):
         ("tau_gamma_min_s", rates.tau_gamma_min),
         ("tau_X_s", rates.tau_X),
         ("tau_X_hat_s", rates.tau_X_hat),
-        ("tau_echo_s", 2.0 * rates.tau_X),
-        ("tau_echo_hat_s", 2.0 * rates.tau_X / 3.0),
+        ("tau_echo_s", rates.tau_echo),
+        ("tau_echo_hat_s", rates.tau_echo_hat),
         ("sigma_X", rates.sigma_X),
         ("sigma_Xprime", rates.sigma_Xprime),
     ]

@@ -84,11 +84,16 @@ def dist_moments(table):
     return mean, second - mean * mean
 
 
+def sum_width(n):
+    """Width sqrt(3n/2) of the eigenvalue sum over n pairs (n real)."""
+    return math.sqrt(1.5 * n)
+
+
 def gaussian_limit(n):
     """(sigma, pdf) of the central-limit Gaussian, sigma = sqrt(3N/2)."""
     if n < 1:
         raise ValueError("N >= 1 required")
-    sigma = math.sqrt(1.5 * n)
+    sigma = sum_width(n)
 
     def pdf(x):
         return math.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
@@ -105,7 +110,7 @@ def kolmogorov_distance(table):
 
     Checks both sides of every jump of the step function.
     """
-    sigma = math.sqrt(1.5 * table.N)
+    sigma = sum_width(table.N)
     total = 4**table.N
     running = 0
     worst = 0.0

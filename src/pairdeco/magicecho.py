@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, coth
+from .core import coth
 from .decoherence import DecoherenceExponent, SingularModeError
+from .eigdist import sum_width
 from . import phonon
 
 #: weights of the three sound-cone steps of the echoed cross kernel
@@ -64,23 +65,6 @@ def reversal_trig(omega, sched):
     s = ((1.0 - f) * math.sin(wf)
          + f * (f - 1.0) * math.sin(wb)
          + f * math.sin(wf + wb))
-    return c, s
-
-
-def echo_reduced_trig(omega, t):
-    """(C, S) specialized to the ideal echo, as explicit harmonics of t/3.
-
-    C = (3/2)[1-cos(wt/3)] + (3/4)[1-cos(2wt/3)] - (1/2)[1-cos(wt)]
-    and the sine analogue; coded independently of reversal_trig as an
-    internal identity check.
-    """
-    if omega <= 0:
-        raise ValueError("omega > 0 required")
-    c = 0.0
-    s = 0.0
-    for n, j in enumerate(ME_STEP_WEIGHTS, start=1):
-        c += j * (1.0 - math.cos(n * omega * t / 3.0))
-        s += j * math.sin(n * omega * t / 3.0)
     return c, s
 
 
@@ -166,10 +150,7 @@ def me_amplitude(cfg, t_total):
     if t_total < 0:
         raise ValueError("t_total >= 0 required")
     rates = phonon.rate_constants(cfg)
-    if not math.isfinite(rates.tau_X):
-        return 1.0
-    tau_hat = 2.0 * rates.tau_X / 3.0
-    return math.exp(-((t_total / tau_hat) ** 2))
+    return math.exp(-((t_total / rates.tau_echo_hat) ** 2))
 
 
 def ix_expectation(cfg, t, n_pairs):
@@ -182,33 +163,24 @@ def ix_expectation(cfg, t, n_pairs):
     c = cfg.constants
     rates = phonon.rate_constants(cfg)
     weight = np.sum(phonon.ix_matrix() ** 2)
-    arg = (3.0 * t / (2.0 * rates.tau_X)
-           if math.isfinite(rates.tau_X) else 0.0)
+    arg = 3.0 * t / (2.0 * rates.tau_X)
     return (-c.hbar * cfg.omega0_larmor * n_pairs / (c.k_B * cfg.T)
             * float(weight) * math.exp(-(arg**2)))
 
 
-def theory_curve(nu_hat_khz, v_s, n_pairs,
-                 hbar=None, m_p=None):
+def theory_curve(nu_hat_khz, v_s, n_pairs):
     """Observable echo decay times tau_hat for dipolar frequencies in kHz.
 
-    tau_hat(nu) = (2/3) [sqrt(2) pi^2 nu^2 hbar sigma_X / (v_s^2 m_p)]^-1
-    with sigma_X = sqrt(3 n^{2/3} / 2); strictly proportional to nu^-2.
+    tau_hat(nu) = (2/3) / phonon.decay_rate(nu, v_s, sigma_X) with
+    sigma_X = sqrt(3 n^{2/3} / 2); strictly proportional to nu^-2.
     Returns seconds.
     """
-    from .core import CONSTANTS
-    hbar = CONSTANTS.hbar if hbar is None else hbar
-    m_p = CONSTANTS.m_p if m_p is None else m_p
-    sigma_x = math.sqrt(1.5 * n_pairs ** (2.0 / 3.0))
-    out = []
-    for nu_khz in nu_hat_khz:
-        if nu_khz <= 0:
-            raise ValueError("frequencies must be positive")
-        nu = nu_khz * 1e3
-        inv = math.sqrt(2.0) * math.pi**2 * nu**2 * hbar * sigma_x \
-            / (v_s**2 * m_p)
-        out.append((2.0 / 3.0) / inv)
-    return out
+    nus = list(nu_hat_khz)
+    if any(nu_khz <= 0 for nu_khz in nus):
+        raise ValueError("frequencies must be positive")
+    sigma_x = sum_width(n_pairs ** (2.0 / 3.0))
+    return [(2.0 / 3.0) / phonon.decay_rate(nu_khz * 1e3, v_s, sigma_x)
+            for nu_khz in nus]
 
 
 @dataclass(frozen=True)

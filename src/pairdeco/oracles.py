@@ -250,9 +250,9 @@ def eigdist_suite(max_n=20):
     cfg = gypsum_config()
     rates = phonon.rate_constants(cfg)
     table = eigdist.exact_counts(12)
-    sigma = math.sqrt(1.5 * 12)
+    sigma = eigdist.sum_width(12)
     rate = 4.0 * math.pi * rates.nuD * 3.0
-    tau_small = 1.0 / (2.0 * math.sqrt(2.0) * math.pi * rates.nuD * sigma)
+    tau_small = phonon.decay_time(rates.nuD, sigma)
     worst = max(
         abs(abs(eigdist.exact_envelope(table, rate, tt))
             - eigdist.gaussian_envelope(sigma, rate, tt))

@@ -9,7 +9,6 @@ live here too.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from collections import namedtuple
@@ -17,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTANTS, KAPPA_VALUES, ConfigError, coth, kappa_of
+from .core import CONSTANTS, KAPPA_VALUES, ConfigError, kappa_of
+from .decoherence import condensed_kernels
+from .eigdist import sum_width
 
 
 def dipolar_coupling(d, theta=0.0, constants=CONSTANTS):
@@ -187,6 +188,30 @@ class RateConstants:
         """Observable decay time tau_X/3 (kappa difference 3), s."""
         return self.tau_X / 3.0
 
+    @property
+    def tau_echo(self):
+        """Magic-echo envelope time 2 tau_X, s."""
+        return 2.0 * self.tau_X
+
+    @property
+    def tau_echo_hat(self):
+        """Observable magic-echo decay time 2 tau_X/3, s."""
+        return 2.0 * self.tau_X / 3.0
+
+
+def decay_time(nu_d, sigma):
+    """Gaussian dephasing time tau_X = [2 sqrt(2) pi nu_D sigma]^{-1}, s."""
+    return 1.0 / (2.0 * math.sqrt(2.0) * math.pi * nu_d * sigma)
+
+
+def decay_rate(nu_hat, v_s, sigma, constants=CONSTANTS):
+    """1/tau_X from the observable frequency nu_hat = 3|nu0|, 1/s.
+
+    sqrt(2) pi^2 nu_hat^2 hbar sigma/(v_s^2 m_p)
+    """
+    return (math.sqrt(2.0) * math.pi**2 * nu_hat**2 * constants.hbar
+            * sigma / (v_s**2 * constants.m_p))
+
 
 def rate_constants(cfg):
     """Rate constants from the sample geometry.
@@ -194,31 +219,36 @@ def rate_constants(cfg):
     nu_D = 9 Omega0^2 hbar/(32 pi v_s^2 m_p)        [Hz]
     nu_0 = -Omega0/(4 pi)                           [Hz]
     1/tau_gamma = 9 Omega0^2 K_B T a/(16 v_s^3 m_p) [1/s]
-    tau_X = [2 sqrt(2) pi nu_D sigma_X]^{-1}        [s]
+    tau_X = decay_time(nu_D, sigma_X)               [s]
 
     At the magic angle Omega0 = 0 and the times are infinite, not an
-    error.  The equivalent tau_X form via nu0_hat is cross-checked.
+    error; elsewhere leaving the float range (an infinite or zero time,
+    an overflow, a divisor that underflows to 0) raises ConfigError.
     """
     c = cfg.constants
-    omega0 = dipolar_coupling(cfg.d, cfg.theta, cfg.constants)
-    nu_d = 9.0 * omega0**2 * c.hbar / (32.0 * math.pi * cfg.v_s**2 * c.m_p)
-    nu_0 = -omega0 / (4.0 * math.pi)
-    sigma_x = math.sqrt(1.5 * cfg.N ** (2.0 / 3.0))
-    sigma_xp = math.sqrt(1.5 * cfg.N)
-    if omega0 == 0.0:
-        tau_g = math.inf
-        tau_x = math.inf
-    else:
-        inv_tau_g = (9.0 * omega0**2 * c.k_B * cfg.T * cfg.a
-                     / (16.0 * cfg.v_s**3 * c.m_p))
-        tau_g = 1.0 / inv_tau_g
-        tau_x = 1.0 / (2.0 * math.sqrt(2.0) * math.pi * nu_d * sigma_x)
-        # equivalent form in terms of the observable frequency
-        nu_hat = 3.0 * abs(nu_0)
-        alt = 1.0 / (math.sqrt(2.0) * math.pi**2 * nu_hat**2 * c.hbar
-                     * sigma_x / (cfg.v_s**2 * c.m_p))
-        if abs(alt - tau_x) > 1e-9 * tau_x:
-            raise AssertionError("tau_X cross-check failed")
+    try:
+        omega0 = dipolar_coupling(cfg.d, cfg.theta, cfg.constants)
+        nu_d = (9.0 * omega0**2 * c.hbar
+                / (32.0 * math.pi * cfg.v_s**2 * c.m_p))
+        nu_0 = -omega0 / (4.0 * math.pi)
+        sigma_x = sum_width(cfg.N ** (2.0 / 3.0))
+        sigma_xp = sum_width(cfg.N)
+        tau_g = tau_x = math.inf
+        if omega0 != 0.0:
+            tau_g = 1.0 / (9.0 * omega0**2 * c.k_B * cfg.T * cfg.a
+                           / (16.0 * cfg.v_s**3 * c.m_p))
+            tau_x = decay_time(nu_d, sigma_x)
+            # equivalent form in terms of the observable frequency
+            alt = 1.0 / decay_rate(3.0 * abs(nu_0), cfg.v_s, sigma_x, c)
+        # a finite, nonzero tau_X needs finite nu_D and sigma_X
+        in_range = (math.isfinite(sigma_xp) and min(tau_g, tau_x) > 0.0
+                    and (omega0 == 0.0 or max(tau_g, tau_x) < math.inf))
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise ConfigError("rate constants outside the float range")
+    if omega0 != 0.0 and abs(alt - tau_x) > 1e-9 * tau_x:
+        raise AssertionError("tau_X cross-check failed")
     return RateConstants(
         Omega0=omega0, nu0=nu_0, nuD=nu_d,
         tau_gamma=tau_g, tau_gamma_min=tau_g / 9.0,
@@ -255,7 +285,8 @@ def _gprime(rates, cfg, dk):
     """Residual bath-average factor of the unapproximated path."""
     arg = (math.sqrt(2.0) * math.pi * rates.nuD * dk
            * rates.sigma_Xprime * cfg.a / cfg.v_s)
-    return math.exp(-(arg**2))
+    # exp(-arg^2) underflows to 0 long before arg^2 overflows
+    return math.exp(-(arg**2)) if arg < 1e10 else 0.0
 
 
 def free_sigma(cfg, sigma0, t, exact_path=False):
@@ -305,9 +336,8 @@ def _evolve_sigma(cfg, sigma0, t, exact_path, energy_phase):
     if energy_phase:
         phase = np.exp(2.0j * math.pi * rates.nu0 * dk * ts)
         out = out * phase
-    envelope = (np.exp(-((dk * ts / rates.tau_X) ** 2))
-                if math.isfinite(rates.tau_X)
-                else np.ones((len(ts),) + dk.shape))
+    # tau_X = inf at the magic angle gives an envelope of exactly 1
+    envelope = np.exp(-((dk * ts / rates.tau_X) ** 2))
     out = out * envelope
     if exact_path:
         ksq = np.subtract.outer(kappa**2, kappa**2)
@@ -327,6 +357,11 @@ def discrete_kernel_sums(cfg, t, x=0.0):
     each grid mode standing for N/N1 of the full bath.  Valid inside the
     window a/v_s << t << N1 a/v_s (warned outside); this is the oracle
     for the closed kernels.
+
+    These are condensed_kernels with a partner displaced by x, over the
+    k > 0 half grid at twice the weight: |g_k|^2 and omega_k are even in
+    k and the sin(kx) part of the cross term is odd, so the partner
+    coupling g_k cos(kx) gives the whole sum.
     """
     if cfg.N1 < 2:
         raise ConfigError("N1 >= 2 violated")
@@ -340,23 +375,13 @@ def discrete_kernel_sums(cfg, t, x=0.0):
             f"({lower:g}, {upper:g}) s; finite-size artifacts dominate",
             stacklevel=2,
         )
-    half = cfg.N1 // 2
-    q = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
-    k = 2.0 * math.pi * q / (cfg.N1 * cfg.a)
-    omega = cfg.v_s * np.abs(k)
+    k = 2.0 * math.pi * np.arange(1, cfg.N1 // 2 + 1) / (cfg.N1 * cfg.a)
+    omega = cfg.v_s * k
     c = cfg.constants
-    u2 = c.hbar / (2.0 * omega * c.m_p * cfg.N * 2.0)
-    g2 = 4.0 * u2 * np.sin(k * cfg.d / 2.0) ** 2       # |g_k|^2
-    weight = cfg.N / cfg.N1
-    wt = omega * t
-    osc = np.sin(wt) - wt
-    coth_f = 1.0 / np.tanh(cfg.beta * omega / 2.0)
-    base = g2 / omega**2
-    gamma = weight * float(np.sum(2.0 * base * np.sin(wt / 2.0) ** 2 * coth_f))
-    epsilon = weight * float(np.sum(base * osc))
-    # cross kernel with partner displaced by x along the axis:
-    # g^A g^{A'*} = |g|^2 exp(-i k x)
-    zeta = weight * float(np.sum(
-        2.0 * base * (np.cos(k * x) * osc + np.sin(k * x) * (1.0 - np.cos(wt)))
-    ))
-    return gamma, epsilon, zeta
+    u = np.sqrt(c.hbar / (2.0 * omega * c.m_p * cfg.N * 2.0))
+    g = -2.0j * u * np.sin(k * cfg.d / 2.0)
+    kernels = condensed_kernels({"A": g, "A'": g * np.cos(k * x)}, "A",
+                                omega, {"A'": 0.0}, cfg.beta, t)
+    weight = 2.0 * cfg.N / cfg.N1
+    return (weight * kernels.gamma_A, weight * kernels.epsilon_A,
+            weight * kernels.zeta["A'"])

@@ -149,16 +149,6 @@ def dd_from_mpf(value):
 # complex double-double helpers: tuples (re, im) of dd pairs
 # ---------------------------------------------------------------------------
 
-def cdd(re, im=None):
-    re = dd(re)
-    im = dd(np.zeros_like(re[0])) if im is None else dd(im)
-    return re, im
-
-
-def cdd_add(x, y):
-    return dd_add(x[0], y[0]), dd_add(x[1], y[1])
-
-
 def cdd_mul(x, y):
     re = dd_sub(dd_mul(x[0], y[0]), dd_mul(x[1], y[1]))
     im = dd_add(dd_mul(x[0], y[1]), dd_mul(x[1], y[0]))

@@ -62,6 +62,22 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     path.write_text("d_m = 0.1e-9\n")
     assert run(["constants", "--config", str(path)]) == 1
     assert "missing key" in capsys.readouterr().err
+    # finite values whose rate constants overflow or divide by zero
+    for line in ("d_m = 1e-70", "d_m = 1e-120", "v_s_mps = 1e200",
+                 "v_s_mps = 1e-160"):
+        key = line.split()[0]
+        path.write_text("\n".join(line if row.startswith(key) else row
+                                  for row in GOOD_CONFIG.splitlines()))
+        for args in (["constants"], ["evolve", "--grid", "0:1e-4:3"]):
+            assert run(args + ["--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: rate constants outside")
+            assert len(err.splitlines()) == 1
+    assert run(["sweep", "--n-grid", "1e23:1e23:1",
+                "--vs-grid", "4000:1e200:2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rate constants outside")
+    assert len(err.splitlines()) == 1
 
 
 def test_unknown_subcommand_exit_code(capsys):
@@ -120,16 +136,32 @@ def test_evolve_bad_grid(capsys):
 @pytest.mark.parametrize("mode", ["free", "me"])
 def test_evolve_gprime_invalid_default_path_is_config_error(mode, tmp_path,
                                                            capsys):
-    # at N = 1e40 the default path would drop a G' factor of about 0
+    # at N = 1e40 the default path would drop a G' factor of about 0; at
+    # v_s = 1e-90 m/s the exponent of G' is past the float range
+    path = tmp_path / "huge.cfg"
+    for old, new in (("1e23", "1e40"), ("4570", "1e-90")):
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        assert run(["evolve", "--config", str(path), "--mode", mode,
+                    "--grid", "0:1e-4:3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: G' = ") and "--exact-path" in err
+        assert len(err.splitlines()) == 1
+        assert run(["evolve", "--config", str(path), "--mode", mode,
+                    "--exact-path", "--grid", "0:1e-4:3"]) == 0
+
+
+def test_failed_command_leaves_no_out_file(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    # the header is written before the bad value is reached
+    assert run(["sweep", "--n-grid=-1:1:3", "--vs-grid", "4000:4000:1",
+                "--out", str(out)]) == 1
+    assert not out.exists()
     path = tmp_path / "huge.cfg"
     path.write_text(GOOD_CONFIG.replace("1e23", "1e40"))
-    assert run(["evolve", "--config", str(path), "--mode", mode,
-                "--grid", "0:1e-4:3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: G' = ") and "--exact-path" in err
-    assert len(err.splitlines()) == 1
-    assert run(["evolve", "--config", str(path), "--mode", mode,
-                "--exact-path", "--grid", "0:1e-4:3"]) == 0
+    assert run(["evolve", "--config", str(path), "--grid", "0:1e-4:3",
+                "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_evolve_deterministic(tmp_path):

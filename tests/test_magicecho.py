@@ -32,13 +32,27 @@ def test_reversal_trig_f1_collapse():
     assert me.reversal_trig(2.0, me.ReversalSchedule(0, 0, -0.5)) == (0.0, 0.0)
 
 
+def echo_reduced_trig(omega, t):
+    """(C, S) specialized to the ideal echo, as explicit harmonics of t/3.
+
+    C = (3/2)[1-cos(wt/3)] + (3/4)[1-cos(2wt/3)] - (1/2)[1-cos(wt)]
+    and the sine analogue; coded independently of reversal_trig.
+    """
+    c = 0.0
+    s = 0.0
+    for n, j in enumerate(me.ME_STEP_WEIGHTS, start=1):
+        c += j * (1.0 - math.cos(n * omega * t / 3.0))
+        s += j * math.sin(n * omega * t / 3.0)
+    return c, s
+
+
 def test_reversal_trig_matches_reduced_form():
     # both codings of the ideal-echo trig, independent by construction
     for omega in (0.7, 1.0, 3.1):
         for t in (0.3, 1.0, 7.7):
             sched = me.ideal_echo_schedule(t)
             c1, s1 = me.reversal_trig(omega, sched)
-            c2, s2 = me.echo_reduced_trig(omega, t)
+            c2, s2 = echo_reduced_trig(omega, t)
             assert c1 == pytest.approx(c2, abs=1e-12)
             assert s1 == pytest.approx(s2, abs=1e-12)
 

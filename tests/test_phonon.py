@@ -212,3 +212,32 @@ def test_discrete_vs_closed_gamma(cfg):
     g_d, e_d, z_d = phonon.discrete_kernel_sums(cfg, t, 0.0)
     g_c, e_c = phonon.closed_kernels(cfg, t)
     assert g_d == pytest.approx(g_c, rel=2e-2)
+
+
+@pytest.mark.parametrize("n1", [64, 65])
+def test_discrete_kernel_sums_match_full_grid_sum(n1):
+    # the direct sum over q = +-1..+-N1/2 with partner coupling
+    # g_k exp(-ikx), whose sin(kx) part the half-grid form drops
+    cfg = gypsum_config(N1=n1)
+    c = cfg.constants
+    half = n1 // 2
+    q = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
+    k = 2.0 * math.pi * q / (n1 * cfg.a)
+    omega = cfg.v_s * np.abs(k)
+    g2 = (4.0 * c.hbar / (2.0 * omega * c.m_p * cfg.N * 2.0)
+          * np.sin(k * cfg.d / 2.0) ** 2)
+    base = cfg.N / n1 * g2 / omega**2
+    coth_f = 1.0 / np.tanh(cfg.beta * omega / 2.0)
+    for t in (2e-12, 7e-12):
+        wt = omega * t
+        osc = np.sin(wt) - wt
+        gamma = np.sum(2.0 * base * np.sin(wt / 2.0) ** 2 * coth_f)
+        epsilon = np.sum(base * osc)
+        for x in (0.0, cfg.a, 2.5 * cfg.a):
+            zeta = np.sum(2.0 * base * (np.cos(k * x) * osc
+                                        + np.sin(k * x) * (1.0 - np.cos(wt))))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # N1 this small: off-window
+                got = phonon.discrete_kernel_sums(cfg, t, x)
+            assert got == pytest.approx((gamma, epsilon, zeta), rel=1e-12,
+                                        abs=0.0)
