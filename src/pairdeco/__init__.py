@@ -13,62 +13,4 @@ Layout:
 * cli         command-line front end
 """
 
-from .core import (
-    CONSTANTS,
-    KAPPA,
-    KAPPA_VALUES,
-    LEVELS,
-    ConfigError,
-    FundamentalConstants,
-    PairLevel,
-    PhysicalConfig,
-    gypsum_config,
-    parse_config,
-)
-from .decoherence import (
-    DecoherenceExponent,
-    SingularModeError,
-    condensed_kernels,
-    condensed_sigma_element,
-    decoherence_exponent_k,
-    evolve_reduced_matrix,
-    s_mn,
-)
-from .fock import (
-    ConvergenceError,
-    TruncatedMode,
-    converged_s_free,
-    converged_s_reversal,
-    displaced_identity_residual,
-    numeric_s_free,
-    numeric_s_reversal,
-    thermal_state,
-)
-from .phonon import (
-    RateConstants,
-    acoustic_coupling,
-    closed_kernels,
-    dipolar_coupling,
-    discrete_kernel_sums,
-    free_sigma,
-    initial_after_pulse,
-    ix_matrix,
-    rate_constants,
-    zeta_closed,
-)
-from .eigdist import EigCountTable, dist_moments, exact_counts, gaussian_limit
-from .magicecho import (
-    ExperimentRecord,
-    ReversalSchedule,
-    compare_experiment,
-    ix_expectation,
-    load_experiment_csv,
-    me_amplitude,
-    me_sigma,
-    reversal_exponent_k,
-    theory_curve,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
-
 __version__ = "0.1.0"

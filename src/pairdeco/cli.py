@@ -77,11 +77,15 @@ def _parse_grid(spec):
 @contextlib.contextmanager
 def _output(path):
     """The --out file, closed on exit and removed if the body raises (no
-    partial output), or stdout when no path is given."""
+    partial output), or stdout when no path is given.  A path that cannot
+    be opened is a ConfigError."""
     if not path:
         yield sys.stdout
         return
-    out = open(path, "w", newline="")
+    try:
+        out = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
     try:
         with out:
             yield out
@@ -129,15 +133,22 @@ def cmd_evolve(args):
     for i in _LEVEL_TAGS:
         for j in _LEVEL_TAGS:
             header += [f"re_{i}_{j}", f"im_{i}_{j}"]
+
+    def block(start):
+        times = t_grid[start:start + _EVOLVE_BLOCK_ROWS]
+        sigma = evolve(cfg, sigma0, times, exact_path=args.exact_path)
+        parts = np.stack([sigma.real, sigma.imag], axis=-1)
+        rows = np.column_stack([times, parts.reshape(len(times), 32)])
+        return "".join(_EVOLVE_ROW % tuple(row) for row in rows.tolist())
+
+    # the first block raises any ConfigError before a byte is written
+    first = block(0)
     with _output(args.out) as out:
         csv.writer(out).writerow(header)
-        for start in range(0, len(t_grid), _EVOLVE_BLOCK_ROWS):
-            times = t_grid[start:start + _EVOLVE_BLOCK_ROWS]
-            sigma = evolve(cfg, sigma0, times, exact_path=args.exact_path)
-            parts = np.stack([sigma.real, sigma.imag], axis=-1)
-            rows = np.column_stack([times, parts.reshape(len(times), 32)])
-            out.write("".join(_EVOLVE_ROW % tuple(row)
-                              for row in rows.tolist()))
+        out.write(first)
+        for start in range(_EVOLVE_BLOCK_ROWS, len(t_grid),
+                           _EVOLVE_BLOCK_ROWS):
+            out.write(block(start))
     return 0
 
 
@@ -162,10 +173,12 @@ def cmd_oracle(args):
     tol = args.tol if args.tol is not None else 1e-8
     if not (math.isfinite(tol) and tol > 0):
         raise _UsageError(f"--tol must be finite and > 0, got {tol!r}")
-    reports = oracles.run_suites(which=args.which, tol=tol, quick=args.quick)
-    payload = {"reports": reports,
-               "failures": sum(r["failures"] for r in reports)}
+    # open the file first: a bad --out fails before minutes of traces
     with _output(args.out) as out:
+        reports = oracles.run_suites(which=args.which, tol=tol,
+                                     quick=args.quick)
+        payload = {"reports": reports,
+                   "failures": sum(r["failures"] for r in reports)}
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
     return 2 if payload["failures"] else 0
@@ -241,10 +254,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
+    except (_UsageError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -191,15 +191,6 @@ def parse_config(text):
     return PhysicalConfig(**kwargs)
 
 
-def max_beta_omega(cfg):
-    """beta*omega at the top of the acoustic band, omega_max = 2 v_s/a.
-
-    Stays <= 0.3 at the reference sample, which underwrites the high-T
-    expansion of coth used by the closed kernels.
-    """
-    return cfg.beta * 2.0 * cfg.v_s / cfg.a
-
-
 def coth(x):
     """coth(x) for x > 0, evaluated directly.
 

@@ -1,8 +1,8 @@
 """Closed-form decoherence machinery for eigen-selective dephasing.
 
-Per-mode decoherence exponents, their product over a mode family, the
-eigen-selective evolution of a reduced density matrix, and the condensed
-single-element kernels used when many equivalent elements share a bath.
+Per-mode decoherence exponents, their product over a mode family, and
+the condensed single-element kernels used when many equivalent elements
+share a bath.
 """
 
 from __future__ import annotations
@@ -84,27 +84,6 @@ def s_mn(modes, beta, t):
         total_gamma += exponent.gamma
         total_upsilon += exponent.upsilon
     return cmath.exp(-total_gamma - 1j * total_upsilon)
-
-
-def evolve_reduced_matrix(rho0, energies, s_table, t):
-    """Eigen-selective evolution of a reduced density matrix.
-
-    rho_mn(t) = rho_mn(0) * exp(-i (E_m - E_n) t) * S_mn(t).
-
-    ``energies`` are the level energies in rad/s; ``s_table`` holds the
-    decoherence function per element pair and must be 1 on its diagonal
-    (diagonal populations are static).
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    energies = np.asarray(energies, dtype=float)
-    s_table = np.asarray(s_table, dtype=complex)
-    n = rho0.shape[0]
-    if rho0.shape != (n, n) or s_table.shape != (n, n) or energies.shape != (n,):
-        raise ValueError("dimension mismatch between rho0, energies, s_table")
-    if not np.allclose(np.diag(s_table), 1.0, rtol=0, atol=1e-12):
-        raise ValueError("s_table must be 1 on the diagonal")
-    phase = np.exp(-1j * np.subtract.outer(energies, energies) * t)
-    return rho0 * phase * s_table
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,12 @@
 
 Each of N environment pairs contributes kappa in {1, 1, -2, 0}; the sum
 X over a configuration runs over [-2N, N] with exact integer counts
-alpha(X) out of 4^N configurations.  The table, its exact moments, the
-Gaussian limit and convergence diagnostics all live here.
+alpha(X) out of 4^N configurations.  The table, its exact moments, its
+width and the Gaussian-limit diagnostics all live here.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,10 +28,6 @@ class EigCountTable:
 
     def total(self):
         return sum(self.counts.values())
-
-    def probability(self, x):
-        """Exact rational p(X = x)."""
-        return Fraction(self.counts.get(x, 0), 4**self.N)
 
     def support(self):
         """Sorted X values with nonzero count."""
@@ -89,18 +84,6 @@ def sum_width(n):
     return math.sqrt(1.5 * n)
 
 
-def gaussian_limit(n):
-    """(sigma, pdf) of the central-limit Gaussian, sigma = sqrt(3N/2)."""
-    if n < 1:
-        raise ValueError("N >= 1 required")
-    sigma = sum_width(n)
-
-    def pdf(x):
-        return math.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-
-    return sigma, pdf
-
-
 def normal_cdf(x, sigma):
     return 0.5 * (1.0 + math.erf(x / (sigma * math.sqrt(2.0))))
 
@@ -137,16 +120,3 @@ def exact_envelope(table, rate, t):
 def gaussian_envelope(sigma, rate, t):
     """Gaussian-limit counterpart |envelope| = exp(-(rate t sigma)^2/2)."""
     return math.exp(-0.5 * (rate * t * sigma) ** 2)
-
-
-def write_csv(table, stream):
-    """Emit X, count, exact_probability, gaussian_density rows."""
-    sigma, pdf = gaussian_limit(table.N)
-    writer = csv.writer(stream)
-    writer.writerow(["X", "count", "exact_probability", "gaussian_density"])
-    for x in table.support():
-        writer.writerow([
-            x, table.counts[x],
-            "{:.17g}".format(float(table.probability(x))),
-            "{:.17g}".format(pdf(x)),
-        ])

@@ -153,21 +153,6 @@ def me_amplitude(cfg, t_total):
     return math.exp(-((t_total / rates.tau_echo_hat) ** 2))
 
 
-def ix_expectation(cfg, t, n_pairs):
-    """Collective <I_x> after the echo, for n_pairs identical pairs.
-
-    -(hbar w0 n / K_B T) sum |<m|I_x|n>|^2 exp(-[3t/(2 tau_X)]^2); the
-    four nonzero elements contribute |I_x|^2 summing to 2.  Must agree
-    with n * Tr[I_x me_sigma(t)].
-    """
-    c = cfg.constants
-    rates = phonon.rate_constants(cfg)
-    weight = np.sum(phonon.ix_matrix() ** 2)
-    arg = 3.0 * t / (2.0 * rates.tau_X)
-    return (-c.hbar * cfg.omega0_larmor * n_pairs / (c.k_B * cfg.T)
-            * float(weight) * math.exp(-(arg**2)))
-
-
 def theory_curve(nu_hat_khz, v_s, n_pairs):
     """Observable echo decay times tau_hat for dipolar frequencies in kHz.
 

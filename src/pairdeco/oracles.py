@@ -24,12 +24,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import eigdist, fock, phonon, xprec
-from .core import gypsum_config
+from .core import ConfigError, gypsum_config
 from .decoherence import s_mn
 from .magicecho import ideal_echo_schedule, reversal_exponent_k
 
 #: below this closed-form modulus the float64 trace floor dominates
 EXTENDED_THRESHOLD = 1e-2
+
+#: largest Fock cutoff the double-double engine is run at
+MAX_EXTENDED_N = 700
 
 #: documented verification grid (omega = 1 units)
 GRID_LAMBDAS = (0.3, -0.3, 0.2j, -0.2j, 0.5)
@@ -77,11 +80,17 @@ def _extended_group(checks, pending, lm, ln, omega, beta, tol):
     ``pending`` holds (slot, kind, inputs, closed, timing) per point;
     each record lands in ``checks[slot]``.  The whole group runs at one
     cutoff, the largest any of its points needs, and its free and
-    reversal traces share one set of eigensystems.
+    reversal traces share one set of eigensystems.  A tolerance whose
+    cutoff passes MAX_EXTENDED_N is a ConfigError, raised before any
+    eigensystem is built.
     """
     n_max = max(xprec.tail_bound_n_max(beta, omega, (lm, ln),
                                        0.25 * tol * abs(closed))
                 for _, _, _, closed, _ in pending)
+    if n_max > MAX_EXTENDED_N:
+        raise ConfigError(
+            f"tol {tol:g} needs a Fock cutoff of {n_max}, above the "
+            f"limit of {MAX_EXTENDED_N}")
     eigensystems = {}
     free = [p for p in pending if p[1] == "free"]
     reversal = [p for p in pending if p[1] == "reversal"]

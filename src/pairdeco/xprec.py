@@ -426,17 +426,6 @@ def _cdd_vector(values):
     return (re_hi, re_lo), (im_hi, im_lo)
 
 
-def _diag_scaled_overlap(v_left, c_values, v_right):
-    """V_left^T diag(c) V_right for complex diagonal c (dd complex)."""
-    (c_re, c_im) = c_values
-    re_scale = (c_re[0][:, None], c_re[1][:, None])
-    im_scale = (c_im[0][:, None], c_im[1][:, None])
-    left_t = dd_transpose(v_left)
-    re = dd_matmul(left_t, dd_mul(re_scale, v_right))
-    im = dd_matmul(left_t, dd_mul(im_scale, v_right))
-    return re, im
-
-
 def _phase_vector(eigvals, t, sign, ctx):
     """exp(sign * i * E_j * t) as complex dd, phases done in mpmath."""
     values = []
@@ -445,6 +434,22 @@ def _phase_vector(eigvals, t, sign, ctx):
         theta = (ctx.mpf(hi) + ctx.mpf(lo)) * t_mp * sign
         values.append(ctx.mpc(ctx.cos(theta), ctx.sin(theta)))
     return _cdd_vector(values)
+
+
+def _overlap(v_a, pow_a, v_b, pow_b, ctx, weights=None):
+    """V_a^T diag(c) V_b with c_j = u_a^j conj(u_b^j), times weights_j.
+
+    With U_a = D_a^+ V_a, D_a = diag(u_a^j), this is the overlap of the
+    two eigenbases U_a^+ diag(weights) U_b in real-V form.
+    """
+    c = [pa * ctx.conj(pb) for pa, pb in zip(pow_a, pow_b)]
+    if weights is not None:
+        c = [x * w for x, w in zip(c, weights)]
+    c_re, c_im = _cdd_vector(c)
+    a_t = dd_transpose(v_a)
+    re = dd_matmul(a_t, dd_mul((c_re[0][:, None], c_re[1][:, None]), v_b))
+    im = dd_matmul(a_t, dd_mul((c_im[0][:, None], c_im[1][:, None]), v_b))
+    return re, im
 
 
 def _thermal_weights(beta, omega, n_max, ctx):
@@ -463,7 +468,8 @@ def tail_bound_n_max(beta, omega, lambdas, target_abs):
     """
     q = math.exp(-beta * omega)
     c = 2.0 / (1.0 - q) ** 2
-    n_tail = math.log(c / target_abs) / (beta * omega)
+    # log(c) - log(target) stays finite where c/target overflows
+    n_tail = (math.log(c) - math.log(target_abs)) / (beta * omega)
     disp = max((abs(complex(l) / omega) ** 2 for l in lambdas), default=0.0)
     return int(math.ceil(n_tail + 4.0 * disp + 20.0))
 
@@ -486,13 +492,8 @@ def s_free_x(lambda_m, lambda_n, omega, beta, times, n_max,
     pow_m = _unit_powers(u_m, n_max, ctx)
     pow_n = _unit_powers(u_n, n_max, ctx)
     weights = _thermal_weights(beta, omega, n_max, ctx)
-    # U_a = D_a^+ V_a with D_a = diag(u_a^j); overlaps reduce to
-    # real-V sandwiches of complex diagonals.
-    c_b = [pm * ctx.conj(pn) for pm, pn in zip(pow_m, pow_n)]
-    c_a = [w * c for w, c in zip(weights, c_b)]
-    a_mat = _diag_scaled_overlap(v_m, _cdd_vector(c_a), v_n)
-    b_mat = _diag_scaled_overlap(v_n, _cdd_vector([ctx.conj(c) for c in c_b]),
-                                 v_m)
+    a_mat = _overlap(v_m, pow_m, v_n, pow_n, ctx, weights)
+    b_mat = _overlap(v_n, pow_n, v_m, pow_m, ctx)
     # S = sum_jl pm_j A_jl B_lj pn_l
     b_t = (dd_transpose(b_mat[0]), dd_transpose(b_mat[1]))
     a_b = cdd_mul(a_mat, b_t)
@@ -528,16 +529,12 @@ def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
     powers = [_unit_powers(u, n_max, ctx) for _, _, u in systems]
     weights = _thermal_weights(beta, omega, n_max, ctx)
 
-    def overlap(ia, ib, extra=None):
-        c = [pa * ctx.conj(pb)
-             for pa, pb in zip(powers[ia], powers[ib])]
-        if extra is not None:
-            c = [x * e for x, e in zip(c, extra)]
-        return _diag_scaled_overlap(systems[ia][1], _cdd_vector(c),
-                                    systems[ib][1])
+    def overlap(ia, ib, weights=None):
+        return _overlap(systems[ia][1], powers[ia], systems[ib][1],
+                        powers[ib], ctx, weights)
 
     g12 = overlap(0, 1)
-    g_theta = overlap(1, 2, extra=weights)
+    g_theta = overlap(1, 2, weights)
     g34 = overlap(2, 3)
     g41 = overlap(3, 0)
 

@@ -143,11 +143,15 @@ def test_evolve_gprime_invalid_default_path_is_config_error(mode, tmp_path,
         path.write_text(GOOD_CONFIG.replace(old, new))
         assert run(["evolve", "--config", str(path), "--mode", mode,
                     "--grid", "0:1e-4:3"]) == 1
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("error: G' = ") and "--exact-path" in err
         assert len(err.splitlines()) == 1
+        # the error comes before the CSV header
+        assert captured.out == ""
         assert run(["evolve", "--config", str(path), "--mode", mode,
                     "--exact-path", "--grid", "0:1e-4:3"]) == 0
+        capsys.readouterr()
 
 
 def test_failed_command_leaves_no_out_file(tmp_path, capsys):
@@ -162,6 +166,19 @@ def test_failed_command_leaves_no_out_file(tmp_path, capsys):
                 "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.count("error:") == 2
+
+
+@pytest.mark.parametrize("args", [["constants"], ["oracle", "eigdist"]])
+def test_unwritable_out_is_usage_error(args, tmp_path, capsys, monkeypatch):
+    # the file is opened before any suite runs
+    monkeypatch.setattr(cli.oracles, "run_suites",
+                        lambda **_: pytest.fail("suites ran first"))
+    out = tmp_path / "no" / "such" / "dir" / "x.out"
+    assert run(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
 
 
 def test_evolve_deterministic(tmp_path):

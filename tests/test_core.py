@@ -90,4 +90,6 @@ def test_coth():
 
 def test_max_beta_omega_small_at_reference():
     cfg = core.gypsum_config()
-    assert core.max_beta_omega(cfg) < 0.3
+    # beta*omega at the top of the acoustic band, omega_max = 2 v_s/a,
+    # underwrites the high-T expansion of coth in the closed kernels
+    assert cfg.beta * 2.0 * cfg.v_s / cfg.a < 0.3

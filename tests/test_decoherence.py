@@ -61,28 +61,6 @@ def test_conjugate_swap_symmetry():
     assert a.s_value() == pytest.approx(b.s_value().conjugate(), rel=1e-13)
 
 
-def test_evolve_reduced_matrix():
-    rho0 = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]])
-    energies = np.array([1.0, 3.0])
-    s = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    t = 0.7
-    out = dc.evolve_reduced_matrix(rho0, energies, s, t)
-    assert out[0, 0] == rho0[0, 0]
-    assert out[0, 1] == pytest.approx(
-        rho0[0, 1] * cmath.exp(-1j * (1.0 - 3.0) * t) * 0.5)
-    # Hermiticity preserved when S is Hermitian-compatible
-    assert out[1, 0] == pytest.approx(out[0, 1].conjugate())
-
-
-def test_evolve_reduced_matrix_validation():
-    rho0 = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError, match="dimension"):
-        dc.evolve_reduced_matrix(rho0, np.zeros(3), np.eye(2), 1.0)
-    bad_s = np.array([[0.9, 1.0], [1.0, 1.0]], dtype=complex)
-    with pytest.raises(ValueError, match="diagonal"):
-        dc.evolve_reduced_matrix(rho0, np.zeros(2), bad_s, 1.0)
-
-
 def test_condensed_kernels_match_single_mode_exponents():
     omegas = np.array([1.0, 2.0, 3.0])
     g_a = np.array([0.1j, -0.05j, 0.02j])

@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -52,25 +51,10 @@ def test_support_and_extreme_counts():
         assert t.counts[n] == 2**n
 
 
-def test_probability_exact():
-    t = eigdist.exact_counts(4)
-    assert t.probability(4) == Fraction(2**4, 4**4)
-    assert t.probability(999) == 0
-
-
 def test_gaussian_limit():
-    sigma, pdf = eigdist.gaussian_limit(10**23)
-    assert sigma == pytest.approx(3.87e11, rel=1e-2)
-    sigma_x, _ = eigdist.gaussian_limit(round(2.15e15))
-    assert sigma_x == pytest.approx(5.68e7, rel=1e-2)
-    # quadrature normalization
-    sigma, pdf = eigdist.gaussian_limit(12)
-    grid = [(-8 * sigma) + 16 * sigma * i / 40000 for i in range(40001)]
-    step = 16 * sigma / 40000
-    total = sum(pdf(x) for x in grid) * step
-    assert total == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        eigdist.gaussian_limit(0)
+    # width of the eigenvalue sum over all N pairs and over one plane
+    assert eigdist.sum_width(1e23) == pytest.approx(3.87e11, rel=1e-2)
+    assert eigdist.sum_width(2.15e15) == pytest.approx(5.68e7, rel=1e-2)
 
 
 def test_kolmogorov_non_increasing():
@@ -91,15 +75,3 @@ def test_envelope_limits():
     ga = eigdist.gaussian_envelope(sigma, rate, t)
     assert ex == pytest.approx(ga, abs=1e-9)
 
-
-def test_csv_export():
-    table = eigdist.exact_counts(2)
-    buf = io.StringIO()
-    eigdist.write_csv(table, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "X,count,exact_probability,gaussian_density"
-    assert len(lines) == 1 + len(table.support())
-    first = lines[1].split(",")
-    assert first[0] == "-4"
-    assert first[1] == "1"
-    assert float(first[2]) == pytest.approx(1.0 / 16.0)

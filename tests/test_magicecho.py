@@ -148,17 +148,31 @@ def test_me_amplitude(cfg):
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
+def ix_expectation(cfg, t, n_pairs):
+    """Collective <I_x> after the echo, for n_pairs identical pairs.
+
+    -(hbar w0 n / K_B T) sum |<m|I_x|n>|^2 exp(-[3t/(2 tau_X)]^2); the
+    four nonzero elements contribute |I_x|^2 summing to 2.  Must agree
+    with n * Tr[I_x me_sigma(t)].
+    """
+    c = cfg.constants
+    rates = phonon.rate_constants(cfg)
+    weight = np.sum(phonon.ix_matrix() ** 2)
+    arg = 3.0 * t / (2.0 * rates.tau_X)
+    return (-c.hbar * cfg.omega0_larmor * n_pairs / (c.k_B * cfg.T)
+            * float(weight) * math.exp(-(arg**2)))
+
+
 def test_ix_expectation_paths_agree(cfg):
     for t in (0.0, 40e-6, 120e-6):
-        explicit = me.ix_expectation(cfg, t, cfg.N)
+        explicit = ix_expectation(cfg, t, cfg.N)
         s0 = phonon.initial_after_pulse(cfg.omega0_larmor, cfg.T)
         via_trace = cfg.N * np.trace(
             phonon.ix_matrix() @ me.me_sigma(cfg, s0, t)).real
         assert explicit == pytest.approx(via_trace, rel=1e-12)
     # amplitude ratio equals me_amplitude
     t = 90e-6
-    ratio = me.ix_expectation(cfg, t, cfg.N) / me.ix_expectation(cfg, 0.0,
-                                                                 cfg.N)
+    ratio = ix_expectation(cfg, t, cfg.N) / ix_expectation(cfg, 0.0, cfg.N)
     assert ratio == pytest.approx(me.me_amplitude(cfg, t), rel=1e-12)
 
 

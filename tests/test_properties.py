@@ -131,3 +131,6 @@ def test_tau_x_scaling_laws(n, v_s):
     assert doubled_vs.tau_X == pytest.approx(4.0 * base.tau_X, rel=1e-9)
     scaled_n = phonon.rate_constants(gypsum_config(N=8.0 * n, v_s=v_s))
     assert scaled_n.tau_X == pytest.approx(base.tau_X / 2.0, rel=1e-9)
+    # the observable-frequency form of the same decay time
+    assert 1.0 / phonon.decay_rate(base.nu0_hat, v_s, base.sigma_X) \
+        == pytest.approx(base.tau_X, rel=1e-9)

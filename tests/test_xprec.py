@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from pairdeco import fock, xprec as xp
+from pairdeco import fock, oracles, xprec as xp
+from pairdeco.core import ConfigError
 from pairdeco.decoherence import s_mn
 from pairdeco.magicecho import ReversalSchedule, reversal_exponent_k
 
@@ -118,6 +119,20 @@ def test_tail_bound_n_max():
     n_cold = xp.tail_bound_n_max(5.0, 1.0, (0.5,), 1e-20)
     assert n_hot > n_cold
     assert n_cold >= 20
+    # 0.25 * tol * |S| at tol = 1e-300 is subnormal: c/target overflows,
+    # its logarithm does not
+    assert xp.tail_bound_n_max(0.1, 1.0, (-0.3, 0.5),
+                               0.25 * 1e-300 * 1.9e-12) == 7267
+
+
+def test_extended_group_rejects_cutoff_past_gate(monkeypatch):
+    monkeypatch.setattr(xp, "tridiag_eigh_dd",
+                        lambda *_: pytest.fail("eigensystem built"))
+    lm, ln, beta, t = -0.3, 0.5, 0.1, 10.0
+    closed = 1.9e-12 + 0j
+    pending = [(0, "free", {}, closed, t)]
+    with pytest.raises(ConfigError, match="cutoff of 7267"):
+        oracles._extended_group([None], pending, lm, ln, 1.0, beta, 1e-300)
 
 
 def test_s_free_x_matches_float64_easy_point():
