@@ -1,0 +1,89 @@
+"""Record one BENCH_<pr>.json: the benchmark, the source size and Tier-1.
+
+Usage: python3 scripts/bench_record.py PR [CHECKOUT]
+
+Runs ``perfbench/run.py`` once per workload that ``BENCHMARK.json``
+declares (seed 1, the declared run length, untraced), then the Tier-1
+test suite, all inside CHECKOUT (default: this repository).  Writes
+``BENCH_<PR>.json`` at the root of this repository with, per workload,
+the run's machine line and result line, plus the line count of
+``src/`` and the Tier-1 wall time and summary line.  A checkout of an
+older commit is measured with the same script, so two files differ
+only in the code they measured.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SEED = 1
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def run_workload(checkout, command, name, seconds):
+    """The machine line and result line of one untraced perfbench run."""
+    args = command[1:] + ["--workload", name, "--seed", str(SEED),
+                          "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run([sys.executable] + args, cwd=checkout,
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        sys.exit(f"bench_record: {name} exited {proc.returncode}: "
+                 f"{proc.stderr.strip()[-500:]}")
+    return {"machine": json.loads(lines[-2])["machine"],
+            "result": json.loads(lines[-1])}
+
+
+def src_lines(checkout):
+    return sum(len(path.read_text().splitlines())
+               for path in sorted((checkout / "src").rglob("*.py")))
+
+
+def tier1(checkout):
+    """Wall time, exit code and summary line of the Tier-1 test run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(checkout / "src")] + ([env["PYTHONPATH"]]
+                                   if env.get("PYTHONPATH") else []))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable] + TIER1, cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.monotonic() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 1), "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (1, 2) or not argv[0].isdigit():
+        sys.exit(__doc__.splitlines()[2])
+    pr = int(argv[0])
+    checkout = pathlib.Path(argv[1] if len(argv) > 1 else ROOT).resolve()
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                            capture_output=True, text=True).stdout.strip()
+    record = {"pr": pr, "commit": commit, "seed": SEED,
+              "seconds": spec["run_seconds"], "workloads": {}}
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        print(f"bench_record: {name}", file=sys.stderr)
+        record["workloads"][name] = run_workload(
+            checkout, spec["command"], name, spec["run_seconds"])
+    record["src_lines"] = src_lines(checkout)
+    print("bench_record: tier-1 tests", file=sys.stderr)
+    record["tier1"] = tier1(checkout)
+    out = ROOT / f"BENCH_{pr}.json"
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"bench_record: wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,6 +18,8 @@ relative comparison.
 from __future__ import annotations
 
 import math
+import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -126,43 +128,51 @@ def fock_suite(tol=1e-8, quick=False, omega=1.0):
     cutoff any of its points needs (a larger cutoff only shrinks the
     truncation error).  Their records' ``n_max`` is that group cutoff.
     Records keep grid order: per time, the free point then the reversal.
+    Each group ends with one progress line on stderr: its index, its
+    methods, its largest ``n_max`` and its seconds.
     """
     lambdas = QUICK_LAMBDAS if quick else GRID_LAMBDAS
     betas = QUICK_BETAS if quick else GRID_BETAS
     times = QUICK_TIMES if quick else GRID_TIMES
+    groups = [(lm_u, ln_u, beta_w) for i, lm_u in enumerate(lambdas)
+              for ln_u in lambdas[i:] for beta_w in betas]
     checks = []
-    for i, lm_u in enumerate(lambdas):
-        for ln_u in lambdas[i:]:
-            lm, ln = lm_u * omega, ln_u * omega
-            for beta_w in betas:
-                beta = beta_w / omega
-                pending = []
-                for wt in times:
-                    t = wt / omega
-                    inputs = {"lambda_m": _fmt_c(complex(lm)),
-                              "lambda_n": _fmt_c(complex(ln)),
-                              "omega": omega, "beta_omega": beta_w,
-                              "omega_t": wt}
-                    sched = ideal_echo_schedule(t)
-                    points = (
-                        ("free", s_mn([(omega, lm, ln)], beta, t), t),
-                        ("reversal", reversal_exponent_k(
-                            lm, ln, omega, beta, sched).s_value(), sched),
-                    )
-                    for kind, closed, timing in points:
-                        if abs(closed) >= EXTENDED_THRESHOLD:
-                            numeric, n_used = _float64_trace(
-                                kind, lm, ln, omega, beta, timing)
-                            checks.append(_point_record(
-                                kind, inputs, closed, numeric, n_used,
-                                "float64", tol))
-                        else:
-                            pending.append((len(checks), kind, inputs,
-                                            closed, timing))
-                            checks.append(None)
-                if pending:
-                    _extended_group(checks, pending, lm, ln, omega, beta,
-                                    tol)
+    for index, (lm_u, ln_u, beta_w) in enumerate(groups, 1):
+        start, first = time.perf_counter(), len(checks)
+        lm, ln = lm_u * omega, ln_u * omega
+        beta = beta_w / omega
+        pending = []
+        for wt in times:
+            t = wt / omega
+            inputs = {"lambda_m": _fmt_c(complex(lm)),
+                      "lambda_n": _fmt_c(complex(ln)),
+                      "omega": omega, "beta_omega": beta_w, "omega_t": wt}
+            sched = ideal_echo_schedule(t)
+            points = (
+                ("free", s_mn([(omega, lm, ln)], beta, t), t),
+                ("reversal", reversal_exponent_k(
+                    lm, ln, omega, beta, sched).s_value(), sched),
+            )
+            for kind, closed, timing in points:
+                if abs(closed) >= EXTENDED_THRESHOLD:
+                    numeric, n_used = _float64_trace(kind, lm, ln, omega,
+                                                     beta, timing)
+                    checks.append(_point_record(kind, inputs, closed,
+                                                numeric, n_used, "float64",
+                                                tol))
+                else:
+                    pending.append((len(checks), kind, inputs, closed,
+                                    timing))
+                    checks.append(None)
+        if pending:
+            _extended_group(checks, pending, lm, ln, omega, beta, tol)
+        records = checks[first:]
+        methods = "+".join(sorted({c["method"] for c in records}))
+        n_max = max(c["n_max"] for c in records)
+        # progress goes to stderr, so the report stays deterministic
+        print(f"oracle fock: group {index}/{len(groups)}, {methods}, "
+              f"n_max {n_max}, {time.perf_counter() - start:.2f} s",
+              file=sys.stderr)
     checks.extend(fock_structure_checks(omega=omega, quick=quick))
     return _report("fock", checks)
 

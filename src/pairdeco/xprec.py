@@ -11,16 +11,22 @@ arithmetic so the relative comparison stays meaningful down to
 Machinery: double-double (pairs of float64) arithmetic vectorized over
 numpy arrays; exact-product sliced matrix multiplication (Ozaki, Ogita,
 Oishi & Rump, Numer. Algorithms 59, 2012) so BLAS does the heavy
-lifting, each slice product added into the double-double sum as it is
-formed; tridiagonal reduction of M + f*J by a diagonal phase
-similarity; eigenpairs refined by inverse iteration plus Rayleigh
-quotients in double-double.  mpmath supplies only scalar phases and
-thermal weights (cheap, and independent of the matrix algebra).
+lifting.  Each row of the left operand and column of the right is cut
+into slices on one exponent ladder taken from its largest entry, with
+delta = floor((53 - ceil(log2(k*(n_slices + 1))))/2) bits per slice for
+inner dimension k, so the slice products of one level i + j share a
+unit and sum exactly in float64; each level sum is then added once into
+the double-double result.  Tridiagonal reduction of M + f*J by a
+diagonal phase similarity; eigenpairs refined by inverse iteration plus
+Rayleigh quotients in double-double.  mpmath supplies only scalar phases
+and thermal weights (cheap, and independent of the matrix algebra).
 
 The traces take a sequence of times.  Eigensystems and overlaps do not
 depend on t and are built once per call; an eigensystem depends only on
 the cutoff and |f*lambda|, and callers share them across calls through
-one ``eigensystems`` dict.
+one ``eigensystems`` dict.  Overlaps whose phase diagonal is real take
+one real matrix product, and the reversal trace is grouped so that each
+time multiplies complex matrices by real ones only.
 """
 
 from __future__ import annotations
@@ -150,9 +156,16 @@ def dd_from_mpf(value):
 # ---------------------------------------------------------------------------
 
 def cdd_mul(x, y):
-    re = dd_sub(dd_mul(x[0], y[0]), dd_mul(x[1], y[1]))
-    im = dd_add(dd_mul(x[0], y[1]), dd_mul(x[1], y[0]))
-    return re, im
+    """Elementwise complex product; an imaginary part of None is zero."""
+    re = dd_mul(x[0], y[0])
+    if x[1] is None and y[1] is None:
+        return re, None
+    if x[1] is None:
+        return re, dd_mul(x[0], y[1])
+    if y[1] is None:
+        return re, dd_mul(x[1], y[0])
+    return (dd_sub(re, dd_mul(x[1], y[1])),
+            dd_add(dd_mul(x[0], y[1]), dd_mul(x[1], y[0])))
 
 
 def cdd_sum(x, axis):
@@ -161,6 +174,12 @@ def cdd_sum(x, axis):
 
 def cdd_to_complex(x):
     return complex(dd_to_float(x[0]), dd_to_float(x[1]))
+
+
+def _cdd_map(func, x):
+    """func applied to every float64 array of a complex dd value."""
+    return tuple(None if part is None else (func(part[0]), func(part[1]))
+                 for part in x)
 
 
 # ---------------------------------------------------------------------------
@@ -172,64 +191,71 @@ def _dd_add_f(x, p):
 
     The same bits as dd_add(x, dd(p)): with a zero low word, dd_add's
     second two_sum and its final renormalization change nothing.
-    dd_matmul adds each slice product with it.
+    dd_matmul adds each level sum of slice products with it.
     """
     s, e = _two_sum(x[0], p)
     return _fast_two_sum(s, e + x[1])
 
 
 def _slice_matrix(x, delta, axis, n_slices):
-    """Split a dd matrix into float64 slices of <= delta significand bits.
+    """Split a dd matrix into float64 slices on one exponent ladder.
 
-    ``axis`` is the inner (contracted) dimension: slices share one
-    binary scale along it (per row of the left operand, per column of
-    the right) so slice products accumulate exactly in float64 dot
-    products.  The extraction (r + sigma) - sigma is exact rounding.
+    ``axis`` is the inner (contracted) dimension.  Each row of the left
+    operand (column of the right) takes e from its largest |hi|, with
+    max < 2**e, and keeps it for every slice: slice i is the residual
+    rounded by (r + sigma_i) - sigma_i, sigma_i = 2**(e - i*delta + 53 -
+    delta), an exact extraction.  Slice i is thus an integer multiple of
+    2**(e + 1 - (i + 1)*delta) and at most 2**(e - i*delta) in
+    magnitude: at most delta bits on a unit that depends only on e and
+    i.  The slices leave about 2**(e - n_slices*delta) at most.
     """
+    mu = np.max(np.abs(x[0]), axis=axis, keepdims=True)
+    _, expo = np.frexp(mu)  # mu < 2**expo
     r = x
     slices = []
-    while True:
-        mu = np.max(np.abs(r[0]), axis=axis, keepdims=True)
-        _, expo = np.frexp(mu)  # mu < 2**expo
-        sigma = np.ldexp(1.0, expo + (53 - delta))
+    for i in range(n_slices):
+        sigma = np.ldexp(1.0, expo + (53 - (i + 1) * delta))
         s = (r[0] + sigma) - sigma
         slices.append(s)
-        if len(slices) == n_slices:
-            return slices
-        # s is r[0] rounded to a multiple of 2**(expo - delta), so
-        # r[0] - s is exact and only the renormalization remains
+        # s is r[0] rounded to a multiple of 2**(expo + 1 - (i+1)*delta),
+        # so r[0] - s is exact and only the renormalization remains
         r = _fast_two_sum(r[0] - s, r[1])
+    return slices
 
 
 def dd_matmul(a, b, n_slices=6):
     """C = A @ B for double-double matrices, accurate to ~1e-30 relative.
 
-    Each operand is sliced into limited-significand float64 matrices
-    whose pairwise products are exact in BLAS.  Products of slices i, j
-    with i + j > n_slices lie below the target precision and are
-    skipped; the rest are added into the double-double sum as they are
-    formed, smallest first: level i + j from n_slices down to 0, i
-    ascending within a level.
+    Each operand is sliced on one exponent ladder per row of A and per
+    column of B (_slice_matrix).  Products of slices i, j with
+    i + j > n_slices lie below the target precision and are skipped;
+    the other 26 (at n_slices = 6) are summed per level i + j in
+    float64, and each of the n_slices + 1 level sums is added once into
+    the double-double result, smallest level first.
+
+    A level sum is exact.  Entry (r, c) of a level-L product is a sum of
+    k terms, each an integer multiple of u = 2**(e_r + e_c + 2 -
+    (L + 2)*delta) and at most 2**(2*delta - 2)*u in magnitude, and a
+    level holds fewer than n_slices + 1 products.  With
+    delta = floor((53 - ceil(log2(k*(n_slices + 1))))/2) every partial
+    sum, in BLAS or across the level, is a multiple of u below 2**53*u
+    and so a float64.  The skipped levels and the slices' remainders
+    are about 2**(-n_slices*delta) of |A||B|: 2**-120, or 8e-37, at
+    k = 545, where delta = 20.
     """
     k = a[0].shape[1]
     if b[0].shape[0] != k:
         raise ValueError("inner dimensions disagree")
-    delta = int((53 - math.ceil(math.log2(max(k, 2)))) // 2)
+    delta = (53 - math.ceil(math.log2(max(k, 1) * (n_slices + 1)))) // 2
     a_slices = _slice_matrix(a, delta, axis=1, n_slices=n_slices)
     b_slices = _slice_matrix(b, delta, axis=0, n_slices=n_slices)
     acc = dd(np.zeros((a[0].shape[0], b[0].shape[1])))
     for level in range(n_slices, -1, -1):
-        for i in range(max(0, level - n_slices + 1),
-                       min(level, n_slices - 1) + 1):
-            acc = _dd_add_f(acc, a_slices[i] @ b_slices[level - i])
+        pairs = range(max(0, level - n_slices + 1),
+                      min(level, n_slices - 1) + 1)
+        acc = _dd_add_f(acc, sum(a_slices[i] @ b_slices[level - i]
+                                 for i in pairs))
     return acc
-
-
-def cdd_matmul(a, b):
-    """Complex dd matmul from four real dd matmuls."""
-    re = dd_sub(dd_matmul(a[0], b[0]), dd_matmul(a[1], b[1]))
-    im = dd_add(dd_matmul(a[0], b[1]), dd_matmul(a[1], b[0]))
-    return re, im
 
 
 def dd_transpose(x):
@@ -383,15 +409,19 @@ def _mode_system(omega, lam, f, n_max, ctx, eigensystems):
     """Tridiagonal reduction of M + f*J and its dd eigensystem.
 
     M + f*J has constant off-diagonal phase; the diagonal similarity
-    diag(u^j) with u = (f*lam)*/|f*lam| makes it real symmetric with
-    off-diagonal |f*lam| sqrt(j).  The eigensystem depends on lam and f
-    only through |f*lam|, so ``eigensystems`` keeps one per (omega,
-    n_max, |f*lam|) and every (lam, f) that reduces to it shares it.
-    Returns (E dd, V dd, u mpc).
+    diag(u^j) with u = sign(f) conj(lam)/|lam|, the phase of (f*lam)*
+    for real f, makes it real symmetric with off-diagonal |f*lam|
+    sqrt(j); any unit u serves when f*lam = 0.  Two systems of one lam
+    thus have u_a conj(u_b) = +-1 exactly.  The eigensystem depends on
+    lam and f only through |f*lam|, so ``eigensystems`` keeps one per
+    (omega, n_max, |f*lam|) and every (lam, f) that reduces to it
+    shares it.  Returns (E dd, V dd, u mpc).
     """
-    z = ctx.mpc(lam.real, lam.imag) * f
-    mag = abs(z)
-    u = ctx.mpc(1, 0) if mag == 0 else ctx.conj(z) / mag
+    z = ctx.mpc(lam.real, lam.imag)
+    mag = abs(z * f)
+    u = ctx.mpc(1, 0) if z == 0 else ctx.conj(z) / abs(z)
+    if f < 0:
+        u = -u
     key = (float(omega), n_max, mag)
     if key not in eigensystems:
         n = np.arange(n_max + 1, dtype=float)
@@ -406,14 +436,6 @@ def _mode_system(omega, lam, f, n_max, ctx, eigensystems):
         eigensystems[key] = tridiag_eigh_dd(diag_dd, off_dd)
     eigvals, vectors = eigensystems[key]
     return eigvals, vectors, u
-
-
-def _unit_powers(u, n_max, ctx):
-    """u^j for j = 0..n_max as an mpmath list."""
-    powers = [ctx.mpc(1, 0)]
-    for _ in range(n_max):
-        powers.append(powers[-1] * u)
-    return powers
 
 
 def _cdd_vector(values):
@@ -436,20 +458,32 @@ def _phase_vector(eigvals, t, sign, ctx):
     return _cdd_vector(values)
 
 
-def _overlap(v_a, pow_a, v_b, pow_b, ctx, weights=None):
-    """V_a^T diag(c) V_b with c_j = u_a^j conj(u_b^j), times weights_j.
+def _overlap(sys_a, sys_b, ctx, weights=None):
+    """V_a^T diag(c) V_b with c_j = (u_a conj(u_b))^j, times weights_j.
 
-    With U_a = D_a^+ V_a, D_a = diag(u_a^j), this is the overlap of the
-    two eigenbases U_a^+ diag(weights) U_b in real-V form.
+    ``sys_a`` and ``sys_b`` are _mode_system results.  With U_a = D_a^+
+    V_a, D_a = diag(u_a^j), this is the overlap of the two eigenbases
+    U_a^+ diag(weights) U_b in real-V form.  Returns (re, im) with im
+    None when every c_j is real, as for two systems of one lambda or of
+    collinear lambdas; then one dd_matmul forms it, else two.
     """
-    c = [pa * ctx.conj(pb) for pa, pb in zip(pow_a, pow_b)]
+    (_, v_a, u_a), (_, v_b, u_b) = sys_a, sys_b
+    ratio = u_a * ctx.conj(u_b)
+    c = [ctx.mpc(1, 0)]
+    for _ in range(v_a[0].shape[0] - 1):
+        c.append(c[-1] * ratio)
     if weights is not None:
         c = [x * w for x, w in zip(c, weights)]
-    c_re, c_im = _cdd_vector(c)
     a_t = dd_transpose(v_a)
-    re = dd_matmul(a_t, dd_mul((c_re[0][:, None], c_re[1][:, None]), v_b))
-    im = dd_matmul(a_t, dd_mul((c_im[0][:, None], c_im[1][:, None]), v_b))
-    return re, im
+
+    def part(values):
+        return dd_matmul(a_t, dd_mul((values[0][:, None], values[1][:, None]),
+                                     v_b))
+
+    c_re, c_im = _cdd_vector(c)
+    if ratio.imag == 0:
+        return part(c_re), None
+    return part(c_re), part(c_im)
 
 
 def _thermal_weights(beta, omega, n_max, ctx):
@@ -474,6 +508,12 @@ def tail_bound_n_max(beta, omega, lambdas, target_abs):
     return int(math.ceil(n_tail + 4.0 * disp + 20.0))
 
 
+def _bilinear(w, left, right):
+    """sum_jl left_j w_jl right_l for a complex dd matrix and vectors."""
+    rows = cdd_sum(cdd_mul(w, _cdd_map(lambda x: x[None, :], right)), axis=1)
+    return cdd_to_complex(cdd_sum(cdd_mul(rows, left), axis=0))
+
+
 def s_free_x(lambda_m, lambda_n, omega, beta, times, n_max,
              eigensystems=None):
     """Extended-precision Tr[exp(-iH_m t) Theta exp(+iH_n t)] per t in times.
@@ -486,35 +526,29 @@ def s_free_x(lambda_m, lambda_n, omega, beta, times, n_max,
     ctx = _mp_ctx()
     if eigensystems is None:
         eigensystems = {}
-    lm, ln = complex(lambda_m), complex(lambda_n)
-    e_m, v_m, u_m = _mode_system(omega, lm, 1.0, n_max, ctx, eigensystems)
-    e_n, v_n, u_n = _mode_system(omega, ln, 1.0, n_max, ctx, eigensystems)
-    pow_m = _unit_powers(u_m, n_max, ctx)
-    pow_n = _unit_powers(u_n, n_max, ctx)
+    sys_m = _mode_system(omega, complex(lambda_m), 1.0, n_max, ctx,
+                         eigensystems)
+    sys_n = _mode_system(omega, complex(lambda_n), 1.0, n_max, ctx,
+                         eigensystems)
     weights = _thermal_weights(beta, omega, n_max, ctx)
-    a_mat = _overlap(v_m, pow_m, v_n, pow_n, ctx, weights)
-    b_mat = _overlap(v_n, pow_n, v_m, pow_m, ctx)
+    a_mat = _overlap(sys_m, sys_n, ctx, weights)
+    b_mat = _overlap(sys_n, sys_m, ctx)
     # S = sum_jl pm_j A_jl B_lj pn_l
-    b_t = (dd_transpose(b_mat[0]), dd_transpose(b_mat[1]))
-    a_b = cdd_mul(a_mat, b_t)
-    values = []
-    for t in times:
-        p_m = _phase_vector(e_m, t, -1, ctx)
-        p_n = _phase_vector(e_n, t, +1, ctx)
-        col = ((p_n[0][0][None, :], p_n[0][1][None, :]),
-               (p_n[1][0][None, :], p_n[1][1][None, :]))
-        rows = cdd_sum(cdd_mul(a_b, col), axis=1)
-        values.append(cdd_to_complex(cdd_sum(cdd_mul(rows, p_m), axis=0)))
-    return values
+    a_b = cdd_mul(a_mat, _cdd_map(np.transpose, b_mat))
+    return [_bilinear(a_b, _phase_vector(sys_m[0], t, -1, ctx),
+                      _phase_vector(sys_n[0], t, +1, ctx)) for t in times]
 
 
 def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
                  eigensystems=None):
     """Extended-precision five-factor reversal trace per (t_F, t_B) in times.
 
-    The four overlaps are built once per call; each time adds its four
-    phase vectors and two complex dd matmuls.  ``eigensystems`` is
-    shared as in s_free_x.
+    With D_i the phase diagonals and G the overlaps, the trace is
+    Tr(D1 G12 D2 G_theta D3 G34 D4 G41) = Tr(P Q), P = D2 (G_theta D3)
+    G34 and Q = D4 (G41 D1) G12.  G12 and G34 pair two systems of one
+    lambda and are real, so each time forms its two complex x real
+    products as four real dd matmuls.  The overlaps are built once per
+    call; ``eigensystems`` is shared as in s_free_x.
     """
     ctx = _mp_ctx()
     if eigensystems is None:
@@ -526,24 +560,16 @@ def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
         _mode_system(omega, ln, 1.0, n_max, ctx, eigensystems),  # 3: fwd, n
         _mode_system(omega, ln, f_B, n_max, ctx, eigensystems),  # 4: back, n
     ]
-    powers = [_unit_powers(u, n_max, ctx) for _, _, u in systems]
     weights = _thermal_weights(beta, omega, n_max, ctx)
+    g12, _ = _overlap(systems[0], systems[1], ctx)
+    g_theta = _overlap(systems[1], systems[2], ctx, weights)
+    g34, _ = _overlap(systems[2], systems[3], ctx)
+    g41 = _overlap(systems[3], systems[0], ctx)
 
-    def overlap(ia, ib, weights=None):
-        return _overlap(systems[ia][1], powers[ia], systems[ib][1],
-                        powers[ib], ctx, weights)
-
-    g12 = overlap(0, 1)
-    g_theta = overlap(1, 2, weights)
-    g34 = overlap(2, 3)
-    g41 = overlap(3, 0)
-
-    def scale(mat, row, col):
-        row_b = ((row[0][0][:, None], row[0][1][:, None]),
-                 (row[1][0][:, None], row[1][1][:, None]))
-        col_b = ((col[0][0][None, :], col[0][1][None, :]),
-                 (col[1][0][None, :], col[1][1][None, :]))
-        return cdd_mul(cdd_mul(row_b, mat), col_b)
+    def times_real(mat, col_phase, real):
+        """(mat D) @ real, D = diag(col_phase): one dd_matmul per part."""
+        scaled = cdd_mul(mat, _cdd_map(lambda x: x[None, :], col_phase))
+        return dd_matmul(scaled[0], real), dd_matmul(scaled[1], real)
 
     values = []
     for t_F, t_B in times:
@@ -551,9 +577,9 @@ def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
         p2 = _phase_vector(systems[1][0], t_F, -1, ctx)
         p3 = _phase_vector(systems[2][0], t_F, +1, ctx)
         p4 = _phase_vector(systems[3][0], t_B, +1, ctx)
-        x_mat = cdd_matmul(scale(g12, p1, p2), g_theta)
-        y_mat = cdd_matmul(scale(g34, p3, p4), g41)
-        y_t = (dd_transpose(y_mat[0]), dd_transpose(y_mat[1]))
-        total = cdd_sum(cdd_sum(cdd_mul(x_mat, y_t), axis=1), axis=0)
-        values.append(cdd_to_complex(total))
+        p_mat = times_real(g_theta, p3, g34)
+        q_mat = times_real(g41, p1, g12)
+        # Tr(P Q) = sum_jl p2_j (G_theta D3 G34)_jl p4_l (G41 D1 G12)_lj
+        values.append(_bilinear(cdd_mul(p_mat, _cdd_map(np.transpose, q_mat)),
+                                p2, p4))
     return values

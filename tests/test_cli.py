@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,21 @@ def test_oracle_quick_and_exit_codes(tmp_path):
                 "--out", str(out)]) == 2
     payload = json.loads(out.read_text())
     assert payload["failures"] > 0
+
+
+def test_oracle_fock_progress_on_stderr(tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "fock", "--quick", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    n_lambdas = len(cli.oracles.QUICK_LAMBDAS)
+    groups = n_lambdas * (n_lambdas + 1) // 2 * len(cli.oracles.QUICK_BETAS)
+    lines = captured.err.splitlines()
+    assert len(lines) == groups
+    for index, line in enumerate(lines, 1):
+        assert re.fullmatch(rf"oracle fock: group {index}/{groups}, "
+                            r"float64, n_max \d+, \d+\.\d\d s", line)
+    assert captured.out == ""
+    assert json.loads(out.read_text())["failures"] == 0
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])

@@ -83,8 +83,49 @@ def test_dd_matmul_wide_dynamic_range():
     assert err < 1e-28
 
 
+@pytest.mark.parametrize("k", [292, 293])
+def test_dd_matmul_level_sums_at_exactness_edge(k):
+    # delta = floor((53 - ceil(log2(7 k))) / 2) steps from 21 to 20 here
+    delta = (53 - math.ceil(math.log2(7 * k))) // 2
+    assert delta == (21 if k == 292 else 20)
+    two = mpmath.mpf(2)
+    digit = 2 ** (delta - 1) - 1
+    # five full-width positive slices on the ladder of e = 0: the level
+    # sums of full rows times full columns reach their largest values
+    full = xp.dd_from_mpf(mpmath.fsum(digit * two ** (1 - (i + 1) * delta)
+                                      for i in range(5)))
+    one = digit * 2.0 ** (1 - delta)   # nothing left after one slice
+    # one slice, then a residual far below the next rung of the ladder
+    tiny = (one, one * 2.0**-90)
+    rng = np.random.default_rng(19)
+
+    def const(value, scale=1.0):
+        return np.full(k, value[0] * scale), np.full(k, value[1] * scale)
+
+    rows = [const(full), const(full, 8.0), const((one, 0.0)), const(tiny),
+            const(full, 2.0**-40)]
+    # the per-row scales of test_dd_matmul_wide_dynamic_range
+    wide = (rng.standard_normal((3, k))
+            * 10.0 ** rng.integers(-12, 12, size=3)[:, None])
+    a = (np.vstack([r[0] for r in rows] + [wide]),
+         np.vstack([r[1] for r in rows] + [np.zeros_like(wide)]))
+    cols = [const(full), const(full, 2.0**17), const((one, 0.0)),
+            (rng.standard_normal(k) * 1e7, np.zeros(k))]
+    b = (np.column_stack([col[0] for col in cols]),
+         np.column_stack([col[1] for col in cols]))
+    c = xp.dd_matmul(a, b)
+    for i in range(a[0].shape[0]):
+        for j in range(b[0].shape[1]):
+            expected = mpmath.fsum(
+                _mp((a[0][i, m], a[1][i, m])) * _mp((b[0][m, j], b[1][m, j]))
+                for m in range(k))
+            err = abs(_mp((c[0][i, j], c[1][i, j])) - expected)
+            assert err < 1e-28 * abs(expected), (i, j)
+
+
 def test_dd_add_f_matches_dd_add_bits():
-    # dd_matmul adds its slice products with this shortcut
+    # dd_matmul adds each level sum of its slice products with this
+    # shortcut
     rng = np.random.default_rng(17)
     n = 4000
     hi = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
@@ -199,3 +240,57 @@ def test_group_builds_each_tridiagonal_once(monkeypatch):
     # a free trace at the same cutoff reuses them
     xp.s_free_x(0.3, -0.3, 1.0, 1.0, [1.5], 40, eigensystems)
     assert len(builds) == 2
+
+
+def test_shared_lambda_overlaps_are_real():
+    # G12 and G34 pair the back and forward systems of one lambda
+    ctx = xp._mp_ctx()
+    eigensystems = {}
+    back = xp._mode_system(1.0, 0.3 + 0.4j, -1.0 / 3.0, 30, ctx,
+                           eigensystems)
+    fwd = xp._mode_system(1.0, 0.3 + 0.4j, 1.0, 30, ctx, eigensystems)
+    for sys_a, sys_b in ((back, fwd), (fwd, back)):
+        _, im = xp._overlap(sys_a, sys_b, ctx)
+        assert im is None
+
+
+def test_s_reversal_x_non_collinear_complex_pair():
+    lm, ln, beta, t_f, t_b = 0.3 + 0.4j, -0.2j, 1.0, 0.5, 1.0
+    n = xp.tail_bound_n_max(beta, 1.0, (lm, ln), 1e-20)
+    s64, _ = fock.converged_s_reversal(lm, ln, 1.0, beta, t_f, t_b, -0.5)
+    sx, = xp.s_reversal_x(lm, ln, 1.0, beta, [(t_f, t_b)], -0.5, n)
+    assert abs(sx - s64) < 5e-10
+    r, = xp.s_reversal_x(lm, ln, 1.0, beta, [(t_f, t_b)], 1.0, n)
+    f, = xp.s_free_x(lm, ln, 1.0, beta, [t_f + t_b], n)
+    assert abs(r - f) < 1e-25
+
+
+def _count_dd_matmul(monkeypatch):
+    calls = []
+    matmul = xp.dd_matmul
+
+    def counted(a, b):
+        calls.append(a[0].shape)
+        return matmul(a, b)
+
+    monkeypatch.setattr(xp, "dd_matmul", counted)
+    return calls
+
+
+def test_dd_matmul_count_real_pair(monkeypatch):
+    calls = _count_dd_matmul(monkeypatch)
+    pairs = [(0.5, 1.0), (1.0, 2.0), (0.2, 0.4)]
+    xp.s_reversal_x(0.3, -0.3, 1.0, 1.0, pairs, -0.5, 30)
+    # one product per overlap, all four real; four per time
+    assert len(calls) == 4 + 4 * len(pairs)
+    calls.clear()
+    xp.s_free_x(0.3, -0.3, 1.0, 1.0, [0.5, 1.5], 30)
+    assert len(calls) == 2
+
+
+def test_dd_matmul_count_complex_pair(monkeypatch):
+    calls = _count_dd_matmul(monkeypatch)
+    pairs = [(0.5, 1.0), (1.0, 2.0), (0.2, 0.4)]
+    xp.s_reversal_x(0.3, -0.2j, 1.0, 1.0, pairs, -0.5, 30)
+    # G12 and G34 stay real; G_theta and G41 take at most two each
+    assert len(calls) <= 6 + 4 * len(pairs)
