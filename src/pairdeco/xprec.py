@@ -17,9 +17,10 @@ delta = floor((53 - ceil(log2(k*(n_slices + 1))))/2) bits per slice for
 inner dimension k, so the slice products of one level i + j share a
 unit and sum exactly in float64; each level sum is then added once into
 the double-double result.  Tridiagonal reduction of M + f*J by a
-diagonal phase similarity; eigenpairs refined by inverse iteration plus
-Rayleigh quotients in double-double.  mpmath supplies only scalar phases
-and thermal weights (cheap, and independent of the matrix algebra).
+diagonal phase similarity; eigenpairs seeded by float64 eigh and
+refined by two Newton steps, each a double-double residual projected on
+the basis in float64.  mpmath supplies only scalar phases and thermal
+weights (cheap, and independent of the matrix algebra).
 
 The traces take a sequence of times.  Eigensystems and overlaps do not
 depend on t and are built once per call; an eigensystem depends only on
@@ -266,96 +267,47 @@ def dd_transpose(x):
 # symmetric tridiagonal eigensystems in double-double
 # ---------------------------------------------------------------------------
 
-def _solve_shifted(diag_dd, off_dd, shifts, rhs):
-    """Solve (T - shift_j) x_j = rhs_j for many shifts at once.
-
-    Banded Gaussian elimination with partial pivoting (one fill-in
-    band), fully in double-double; vectorized across the systems axis.
-    diag_dd: dd (n,); off_dd: dd (n-1,); shifts: dd (m,); rhs: dd (n, m).
-    """
-    n = diag_dd[0].shape[0]
-    m = shifts[0].shape[0]
-
-    def row_diag(i):
-        d_i = (np.full(m, diag_dd[0][i]), np.full(m, diag_dd[1][i]))
-        return dd_sub(d_i, shifts)
-
-    def off_const(i):
-        return np.full(m, off_dd[0][i]), np.full(m, off_dd[1][i])
-
-    zeros = dd(np.zeros(m))
-    u0 = [None] * n
-    u1 = [None] * n
-    u2 = [None] * n
-    y = [None] * n
-    # evolving pivot row at columns (i, i+1, i+2)
-    c0, c1, c2 = row_diag(0), off_const(0) if n > 1 else zeros, zeros
-    rc = (rhs[0][0].copy(), rhs[1][0].copy())
-    for i in range(n - 1):
-        q0 = off_const(i)
-        q1 = row_diag(i + 1)
-        q2 = off_const(i + 1) if i + 1 < n - 1 else zeros
-        rq = (rhs[0][i + 1].copy(), rhs[1][i + 1].copy())
-        swap = np.abs(q0[0]) > np.abs(c0[0])
-
-        def pick(a, b):
-            return (np.where(swap, b[0], a[0]), np.where(swap, b[1], a[1]))
-
-        c0, q0 = pick(c0, q0), pick(q0, c0)
-        c1, q1 = pick(c1, q1), pick(q1, c1)
-        c2, q2 = pick(c2, q2), pick(q2, c2)
-        rc, rq = pick(rc, rq), pick(rq, rc)
-        mult = dd_div(q0, c0)
-        u0[i], u1[i], u2[i], y[i] = c0, c1, c2, rc
-        c0 = dd_sub(q1, dd_mul(mult, c1))
-        c1 = dd_sub(q2, dd_mul(mult, c2))
-        c2 = zeros
-        rc = dd_sub(rq, dd_mul(mult, rc))
-    u0[n - 1], u1[n - 1], u2[n - 1], y[n - 1] = c0, c1, c2, rc
-
-    x_hi = np.empty((n, m))
-    x_lo = np.empty((n, m))
-
-    def set_x(i, value):
-        x_hi[i], x_lo[i] = value
-
-    def get_x(i):
-        return x_hi[i], x_lo[i]
-
-    set_x(n - 1, dd_div(y[n - 1], u0[n - 1]))
-    if n > 1:
-        v = dd_sub(y[n - 2], dd_mul(u1[n - 2], get_x(n - 1)))
-        set_x(n - 2, dd_div(v, u0[n - 2]))
-    for i in range(n - 3, -1, -1):
-        v = dd_sub(y[i], dd_mul(u1[i], get_x(i + 1)))
-        v = dd_sub(v, dd_mul(u2[i], get_x(i + 2)))
-        set_x(i, dd_div(v, u0[i]))
-    return x_hi, x_lo
-
-
 def _normalize_columns(v):
     norm2 = dd_sum(dd_mul(v, v), axis=0)
     inv = dd_div(dd(np.ones_like(norm2[0])), dd_sqrt(norm2))
     return dd_mul(v, (inv[0][None, :], inv[1][None, :]))
 
 
-def _rayleigh(diag_dd, off_dd, v):
-    """x^T T x per column for tridiagonal T, in double-double."""
-    d_col = (diag_dd[0][:, None], diag_dd[1][:, None])
+def _tridiag_times(diag_dd, off_dd, v):
+    """T v for the symmetric tridiagonal T = (diag, off), in double-double."""
+    zero = np.zeros((1, v[0].shape[1]))
     e_col = (off_dd[0][:, None], off_dd[1][:, None])
-    quad = dd_sum(dd_mul(d_col, dd_mul(v, v)), axis=0)
-    head = (v[0][:-1], v[1][:-1])
-    tail = (v[0][1:], v[1][1:])
-    cross = dd_sum(dd_mul(e_col, dd_mul(head, tail)), axis=0)
-    return dd_add(quad, dd_add(cross, cross))
+    # row i: d_i v_i + e_i v_{i+1} + e_{i-1} v_{i-1}
+    above = dd_mul(e_col, (v[0][1:], v[1][1:]))
+    below = dd_mul(e_col, (v[0][:-1], v[1][:-1]))
+    tv = dd_mul((diag_dd[0][:, None], diag_dd[1][:, None]), v)
+    tv = dd_add(tv, tuple(np.vstack([x, zero]) for x in above))
+    return dd_add(tv, tuple(np.vstack([zero, x]) for x in below))
 
 
 def tridiag_eigh_dd(diag_dd, off_dd):
     """Eigensystem of a real symmetric tridiagonal matrix in double-double.
 
-    float64 eigh seeds the spectrum; two inverse-iteration sweeps with
-    Rayleigh-quotient shifts refine each eigenpair well past float64.
-    Returns (eigenvalues dd (n,), eigenvectors dd (n, n) as columns).
+    float64 eigh seeds (V, lambda).  Each of two Newton steps
+    (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983)
+    normalizes the columns, forms R = T V - V diag(lambda) in
+    double-double, O(n^2) as T is tridiagonal, and projects it on the
+    basis in float64: R is only ~u |T| in size, so C = V_hi^T R_hi
+    holds all the digits the step needs.  Then lambda_j += C_jj and
+    v_j += sum_k F_kj v_k with F_kj = C_kj / (lambda_j - lambda_k), one
+    float64 matmul.  A step squares the error, so two take the seed's
+    ~1e-16 below the double-double floor; a last normalization removes
+    the norm error the second-order terms of a correction leave.
+
+    The float64 product V_hi F errs by about n u max|F| per entry, u =
+    2**-53.  At n ~ 545 that stays below ~1e-30 only while max|F| <
+    1e-18, so the second step raises ValueError, naming the smallest
+    seed gap, when its F is larger.  Oscillator tridiagonals reach
+    ~1e-26 there; Wilkinson's W21+, whose top eigenvalues pair up
+    7e-14 apart, reaches 1e-4.
+
+    Returns (eigenvalues dd (n,) ascending, eigenvectors dd (n, n) as
+    columns).
     """
     n = diag_dd[0].shape[0]
     t64 = np.diag(dd_to_float(diag_dd))
@@ -363,35 +315,29 @@ def tridiag_eigh_dd(diag_dd, off_dd):
         e64 = dd_to_float(off_dd)
         t64 += np.diag(e64, 1) + np.diag(e64, -1)
     e0, v0 = np.linalg.eigh(t64)
-    v = dd(v0)
-    shifts = dd(e0)
-    for _ in range(2):
-        v = _solve_shifted(diag_dd, off_dd, shifts, v)
+    gap = e0[None, :] - e0[:, None]  # lambda_j - lambda_k at (k, j)
+    np.fill_diagonal(gap, np.inf)
+    eigvals, v = dd(e0), dd(v0)
+    for step in range(2):
         v = _normalize_columns(v)
-        shifts = _rayleigh(diag_dd, off_dd, v)
-    return shifts, v
+        res = dd_sub(_tridiag_times(diag_dd, off_dd, v),
+                     dd_mul((eigvals[0][None, :], eigvals[1][None, :]), v))
+        c = v[0].T @ res[0]
+        eigvals = _dd_add_f(eigvals, np.diag(c))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = c / gap
+        if step and not np.max(np.abs(f)) < 1e-18:
+            raise ValueError("tridiag_eigh_dd: eigenvalues too close to "
+                             "refine, smallest seed gap "
+                             f"{np.min(np.diff(e0)):.3g}")
+        v = _dd_add_f(v, v[0] @ f)
+    return eigvals, _normalize_columns(v)
 
 
 def tridiag_residual(diag_dd, off_dd, eigvals, v):
     """max-norm of T v - v diag(eigvals), as float (diagnostic)."""
-    n, m = v[0].shape
-    zeros_row = (np.zeros((1, m)), np.zeros((1, m)))
-
-    def pad(x, front):
-        hi = np.concatenate([zeros_row[0], x[0]] if front
-                            else [x[0], zeros_row[0]], axis=0)
-        lo = np.concatenate([zeros_row[1], x[1]] if front
-                            else [x[1], zeros_row[1]], axis=0)
-        return hi, lo
-
-    d_col = (diag_dd[0][:, None], diag_dd[1][:, None])
-    e_col = (off_dd[0][:, None], off_dd[1][:, None])
-    tv = dd_mul(d_col, v)
-    # e_i v_{i+1} lands on row i; e_{i-1} v_{i-1} lands on row i
-    tv = dd_add(tv, pad(dd_mul(e_col, (v[0][1:], v[1][1:])), front=False))
-    tv = dd_add(tv, pad(dd_mul(e_col, (v[0][:-1], v[1][:-1])), front=True))
-    ev = dd_mul((eigvals[0][None, :], eigvals[1][None, :]), v)
-    res = dd_sub(tv, ev)
+    res = dd_sub(_tridiag_times(diag_dd, off_dd, v),
+                 dd_mul((eigvals[0][None, :], eigvals[1][None, :]), v))
     return float(np.max(np.abs(dd_to_float(res))))
 
 

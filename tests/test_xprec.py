@@ -145,14 +145,50 @@ def test_tridiag_eigh_dd_accuracy():
     off = xp.dd(np.sqrt(np.arange(1, n, dtype=float)) * 0.35)
     eigvals, vectors = xp.tridiag_eigh_dd(diag, off)
     assert xp.tridiag_residual(diag, off, eigvals, vectors) < 1e-27
-    gram = xp.dd_matmul(xp.dd_transpose(vectors), vectors)
-    assert np.max(np.abs(xp.dd_to_float(gram) - np.eye(n))) < 1e-29
+    assert _gram_error(vectors) < 1e-29
     # spectrum matches float64 eigh to float64 accuracy
     t64 = (np.diag(xp.dd_to_float(diag))
            + np.diag(xp.dd_to_float(off), 1)
            + np.diag(xp.dd_to_float(off), -1))
     e64 = np.linalg.eigh(t64)[0]
     assert np.max(np.abs(e64 - xp.dd_to_float(eigvals))) < 1e-12 * n
+
+
+def _gram_error(vectors):
+    # V^T V - I in double-double: rounding the Gram matrix to float64
+    # first would hide norm errors below 1.1e-16 on its diagonal
+    n = vectors[0].shape[1]
+    gram = xp.dd_matmul(xp.dd_transpose(vectors), vectors)
+    return np.max(np.abs(xp.dd_to_float(xp.dd_sub(gram, xp.dd(np.eye(n))))))
+
+
+@pytest.mark.parametrize("mag", [0.15, 0.5])
+def test_tridiag_eigh_dd_at_oracle_size(monkeypatch, mag):
+    # n = 545 as the oracle builds it: M + f J at |f lambda| = mag
+    built = []
+    build = xp.tridiag_eigh_dd
+
+    def captured(diag, off):
+        built.append((diag, off))
+        return build(diag, off)
+
+    monkeypatch.setattr(xp, "tridiag_eigh_dd", captured)
+    eigvals, vectors, _ = xp._mode_system(1.0, complex(mag), 1.0, 544,
+                                          xp._mp_ctx(), {})
+    (diag, off), = built
+    assert xp.tridiag_residual(diag, off, eigvals, vectors) < 1e-27
+    assert _gram_error(vectors) < 1e-29
+    norm2 = mpmath.fsum(_mp((hi, lo)) ** 2 for hi, lo in
+                        zip(vectors[0][:, 349], vectors[1][:, 349]))
+    assert abs(norm2 - 1) < 1e-29
+
+
+def test_tridiag_eigh_dd_rejects_close_eigenvalues():
+    # Wilkinson's W21+: its top eigenvalues pair up 7e-14 apart
+    diag = xp.dd(np.abs(10.0 - np.arange(21)))
+    off = xp.dd(np.ones(20))
+    with pytest.raises(ValueError, match="smallest seed gap 7.1"):
+        xp.tridiag_eigh_dd(diag, off)
 
 
 def test_tail_bound_n_max():
