@@ -16,11 +16,15 @@ into slices on one exponent ladder taken from its largest entry, with
 delta = floor((53 - ceil(log2(k*(n_slices + 1))))/2) bits per slice for
 inner dimension k, so the slice products of one level i + j share a
 unit and sum exactly in float64; each level sum is then added once into
-the double-double result.  Tridiagonal reduction of M + f*J by a
-diagonal phase similarity; eigenpairs seeded by float64 eigh and
-refined by two Newton steps, each a double-double residual projected on
-the basis in float64.  mpmath supplies only scalar phases and thermal
-weights (cheap, and independent of the matrix algebra).
+the double-double result.  The operands are Franck-Condon matrices, so
+most slice entries are exact zeros; each slice product forms only the
+nonzero band of each block of rows, and as a level's partial sums are
+exact, omitting zero terms changes no bit but perhaps a zero's sign.
+Tridiagonal reduction of M + f*J by a diagonal phase similarity;
+eigenpairs seeded by float64 eigh and refined by two Newton steps, each
+a double-double residual projected on the basis in float64.  mpmath
+supplies only scalar phases and thermal weights (cheap, and independent
+of the matrix algebra).
 
 The traces take a sequence of times.  Eigensystems and overlaps do not
 depend on t and are built once per call; an eigensystem depends only on
@@ -38,6 +42,8 @@ import mpmath
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+#: rows of A per banded slice product in dd_matmul (32 to 128 time alike)
+_ROW_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +230,15 @@ def _slice_matrix(x, delta, axis, n_slices):
     return slices
 
 
+def _row_extents(s):
+    """First and one-past-last nonzero column of each row; (n, 0) if none."""
+    nonzero = s != 0.0
+    n = s.shape[1]
+    any_ = nonzero.any(axis=1)
+    return (np.where(any_, nonzero.argmax(axis=1), n),
+            np.where(any_, n - nonzero[:, ::-1].argmax(axis=1), 0))
+
+
 def dd_matmul(a, b, n_slices=6):
     """C = A @ B for double-double matrices, accurate to ~1e-30 relative.
 
@@ -243,19 +258,44 @@ def dd_matmul(a, b, n_slices=6):
     and so a float64.  The skipped levels and the slices' remainders
     are about 2**(-n_slices*delta) of |A||B|: 2**-120, or 8e-37, at
     k = 545, where delta = 20.
+
+    Slice products skip exact-zero stretches: a block of _ROW_BLOCK
+    rows of slice i of A multiplies only its nonzero columns [k0, k1)
+    into the columns [c0, c1) where rows k0:k1 of slice j of B are
+    nonzero.  All other terms are exact zeros, and as every partial sum
+    is exact, leaving them out changes no bit but perhaps a zero's sign.
+    Non-finite operands raise ValueError, as skipping would leave part
+    of a NaN row finite.
     """
     k = a[0].shape[1]
     if b[0].shape[0] != k:
         raise ValueError("inner dimensions disagree")
+    for name, x in (("a", a), ("b", b)):
+        if not (np.isfinite(x[0]).all() and np.isfinite(x[1]).all()):
+            raise ValueError(f"dd_matmul: operand {name} is not finite")
     delta = (53 - math.ceil(math.log2(max(k, 1) * (n_slices + 1)))) // 2
     a_slices = _slice_matrix(a, delta, axis=1, n_slices=n_slices)
     b_slices = _slice_matrix(b, delta, axis=0, n_slices=n_slices)
-    acc = dd(np.zeros((a[0].shape[0], b[0].shape[1])))
+    a_extents = [_row_extents(s) for s in a_slices]
+    b_extents = [_row_extents(s) for s in b_slices]
+    m, p = a[0].shape[0], b[0].shape[1]
+    acc = dd(np.zeros((m, p)))
     for level in range(n_slices, -1, -1):
-        pairs = range(max(0, level - n_slices + 1),
-                      min(level, n_slices - 1) + 1)
-        acc = _dd_add_f(acc, sum(a_slices[i] @ b_slices[level - i]
-                                 for i in pairs))
+        level_sum = np.zeros((m, p))
+        for i in range(max(0, level - n_slices + 1),
+                       min(level, n_slices - 1) + 1):
+            a_s, (a_first, a_last) = a_slices[i], a_extents[i]
+            b_s, (b_first, b_last) = b_slices[level - i], b_extents[level - i]
+            for r0 in range(0, m, _ROW_BLOCK):
+                rows = slice(r0, r0 + _ROW_BLOCK)
+                k0, k1 = a_first[rows].min(), a_last[rows].max()
+                if k0 >= k1:
+                    continue
+                c0, c1 = b_first[k0:k1].min(), b_last[k0:k1].max()
+                if c0 < c1:
+                    level_sum[rows, c0:c1] += (a_s[rows, k0:k1]
+                                               @ b_s[k0:k1, c0:c1])
+        acc = _dd_add_f(acc, level_sum)
     return acc
 
 
@@ -517,8 +557,8 @@ def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
         scaled = cdd_mul(mat, _cdd_map(lambda x: x[None, :], col_phase))
         return dd_matmul(scaled[0], real), dd_matmul(scaled[1], real)
 
-    values = []
-    for t_F, t_B in times:
+    def trace(t_F, t_B):
+        """Tr(P Q) at one time; its P and Q die before the next time's."""
         p1 = _phase_vector(systems[0][0], t_B, -1, ctx)
         p2 = _phase_vector(systems[1][0], t_F, -1, ctx)
         p3 = _phase_vector(systems[2][0], t_F, +1, ctx)
@@ -526,6 +566,7 @@ def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
         p_mat = times_real(g_theta, p3, g34)
         q_mat = times_real(g41, p1, g12)
         # Tr(P Q) = sum_jl p2_j (G_theta D3 G34)_jl p4_l (G41 D1 G12)_lj
-        values.append(_bilinear(cdd_mul(p_mat, _cdd_map(np.transpose, q_mat)),
-                                p2, p4))
-    return values
+        return _bilinear(cdd_mul(p_mat, _cdd_map(np.transpose, q_mat)),
+                         p2, p4)
+
+    return [trace(t_F, t_B) for t_F, t_B in times]

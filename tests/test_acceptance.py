@@ -78,7 +78,7 @@ def test_criterion_05_fock_oracle_equivalence():
     Free and reversal (f_B = -1/2, t_B = 2 t_F) decoherence functions
     over the documented lambda/beta/time grid; strongly decohered
     points run on the double-double engine.  Runtime under a minute
-    (44 s on a 2-CPU machine).
+    (35 s on a 2-CPU machine).
     """
     report = oracles.fock_suite(tol=1e-8)
     bad = [c for c in report["checks"] if not c["passed"]]

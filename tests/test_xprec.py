@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pairdeco import fock, oracles, xprec as xp
 from pairdeco.core import ConfigError
@@ -121,6 +122,103 @@ def test_dd_matmul_level_sums_at_exactness_edge(k):
                 for m in range(k))
             err = abs(_mp((c[0][i, j], c[1][i, j])) - expected)
             assert err < 1e-28 * abs(expected), (i, j)
+
+
+def _dense_dd_matmul(a, b, n_slices=6):
+    # dd_matmul's level loop with every slice product formed in full
+    k = a[0].shape[1]
+    delta = (53 - math.ceil(math.log2(k * (n_slices + 1)))) // 2
+    a_s = xp._slice_matrix(a, delta, axis=1, n_slices=n_slices)
+    b_s = xp._slice_matrix(b, delta, axis=0, n_slices=n_slices)
+    acc = xp.dd(np.zeros((a[0].shape[0], b[0].shape[1])))
+    for level in range(n_slices, -1, -1):
+        pairs = range(max(0, level - n_slices + 1),
+                      min(level, n_slices - 1) + 1)
+        acc = xp._dd_add_f(acc, sum(a_s[i] @ b_s[level - i] for i in pairs))
+    return acc
+
+
+def _assert_equals_dense(a, b):
+    got, want = xp.dd_matmul(a, b), _dense_dd_matmul(a, b)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def _banded(rng, rows, cols, width, cutoff, zero_blocks):
+    """Entries falling off as exp(-(d/width)^2) off a stretched diagonal,
+    zero past distance cutoff and in the chosen 64-row blocks."""
+    i, j = np.indices((rows, cols))
+    dist = np.abs(i * (cols / rows) - j)
+    hi = rng.standard_normal((rows, cols)) * np.exp(-(dist / width) ** 2)
+    hi[dist > cutoff] = 0.0
+    for block in zero_blocks:
+        hi[64 * block:64 * (block + 1)] = 0.0
+    return hi, hi * rng.standard_normal((rows, cols)) * 2.0**-60
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 200), st.integers(1, 200), st.integers(1, 200),
+       st.integers(0, 2**32 - 1), st.floats(0.5, 80.0), st.floats(0.5, 80.0),
+       st.integers(0, 200), st.sets(st.integers(0, 3), max_size=3),
+       st.sets(st.integers(0, 3), max_size=3))
+def test_dd_matmul_banded_equals_dense(m, k, p, seed, width_a, width_b,
+                                       cutoff, zero_a, zero_b):
+    rng = np.random.default_rng(seed)
+    a = _banded(rng, m, k, width_a, cutoff, zero_a)
+    b = _banded(rng, k, p, width_b, cutoff, zero_b)
+    _assert_equals_dense(a, b)
+
+
+@pytest.mark.parametrize("m, k, p, zero", [(70, 90, 50, "a"),
+                                           (50, 70, 90, "b"),
+                                           (37, 45, 23, None),
+                                           (150, 130, 140, None)])
+def test_dd_matmul_equals_dense_levels(m, k, p, zero):
+    # an all-zero operand, shapes inside one row block, dense operands
+    rng = np.random.default_rng(23)
+    ops = {name: (rng.standard_normal(shape),
+                  rng.standard_normal(shape) * 1e-18)
+           for name, shape in (("a", (m, k)), ("b", (k, p)))}
+    if zero:
+        ops[zero] = xp.dd(np.zeros_like(ops[zero][0]))
+    _assert_equals_dense(ops["a"], ops["b"])
+    if zero:
+        assert not np.any(xp.dd_matmul(ops["a"], ops["b"])[0])
+
+
+@pytest.mark.parametrize("mag", [0.15, 0.5])
+def test_dd_matmul_overlap_operands_equal_dense(monkeypatch, mag):
+    # the oracle's operands at n = 545: the overlaps of lambda and -lambda
+    operands = []
+    matmul = xp.dd_matmul
+
+    def captured(a, b):
+        operands.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(xp, "dd_matmul", captured)
+    ctx, eigensystems = xp._mp_ctx(), {}
+    sys_a = xp._mode_system(1.0, complex(mag), 1.0, 544, ctx, eigensystems)
+    sys_b = xp._mode_system(1.0, complex(-mag), 1.0, 544, ctx, eigensystems)
+    xp._overlap(sys_a, sys_b, ctx, xp._thermal_weights(0.1, 1.0, 544, ctx))
+    xp._overlap(sys_b, sys_a, ctx)
+    monkeypatch.undo()
+    assert len(operands) == 2
+    for a, b in operands:
+        _assert_equals_dense(a, b)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("word", [0, 1])
+@pytest.mark.parametrize("operand", ["a", "b"])
+def test_dd_matmul_rejects_non_finite(operand, word, value):
+    rng = np.random.default_rng(29)
+    ops = {"a": xp.dd(rng.standard_normal((5, 4))),
+           "b": xp.dd(rng.standard_normal((4, 3)))}
+    ops[operand][word][2, 1] = value
+    with pytest.raises(ValueError, match=f"operand {operand} is not finite"):
+        xp.dd_matmul(ops["a"], ops["b"])
 
 
 def test_dd_add_f_matches_dd_add_bits():
