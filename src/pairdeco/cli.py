@@ -126,8 +126,7 @@ def cmd_evolve(args):
         raise _UsageError("t grid must be strictly ascending")
     if t_grid[0] < 0:
         raise _UsageError("t grid must be non-negative")
-    sigma0 = phonon.initial_after_pulse(cfg.omega0_larmor, cfg.T,
-                                        cfg.constants)
+    sigma0 = phonon.initial_after_pulse(cfg.omega0_larmor, cfg.T)
     evolve = phonon.free_sigma if args.mode == "free" else magicecho.me_sigma
     header = ["t_s"]
     for i in _LEVEL_TAGS:

@@ -1,6 +1,7 @@
 """Physical constants, configuration handling and the spin-pair basis.
 
-Everything downstream (kernels, rate constants, oracles, CLI) pulls its
+The CODATA 2018 constants HBAR, K_B, MU_0, GAMMA_P and M_P are pinned
+module constants, not settings.  Everything downstream (kernels, rate constants, oracles, CLI) pulls its
 units and its 4-level basis from here.  SI units throughout; angular
 frequencies are carried in rad/s internally, linear frequencies (Hz/kHz)
 appear only at reporting boundaries.
@@ -10,36 +11,19 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     """Raised for malformed or physically invalid configurations."""
 
 
-@dataclass(frozen=True)
-class FundamentalConstants:
-    """CODATA 2018 values, pinned so golden files stay deterministic."""
-
-    hbar: float = 1.054571817e-34      # J s
-    k_B: float = 1.380649e-23          # J/K
-    mu_0: float = 1.25663706212e-6     # H/m
-    gamma_p: float = 2.6752218744e8    # rad/(s T), proton
-    m_p: float = 1.67262192369e-27     # kg
-
-    def __post_init__(self):
-        for name in ("hbar", "k_B", "mu_0", "gamma_p", "m_p"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"constant {name} must be positive")
-
-    def beta(self, T):
-        """Inverse temperature in time units, beta = hbar/(k_B T), seconds."""
-        if T <= 0:
-            raise ConfigError("T > 0 violated")
-        return self.hbar / (self.k_B * T)
-
-
-CONSTANTS = FundamentalConstants()
+# CODATA 2018 values, pinned so golden files stay deterministic
+HBAR = 1.054571817e-34      # J s
+K_B = 1.380649e-23          # J/K
+MU_0 = 1.25663706212e-6     # H/m
+GAMMA_P = 2.6752218744e8    # rad/(s T), proton
+M_P = 1.67262192369e-27     # kg
 
 
 class PairLevel(enum.Enum):
@@ -76,7 +60,7 @@ def kappa_of(level):
 
 # Larmor frequency only scales the initial-state amplitude; the default
 # corresponds to protons in a 1 T field.
-_DEFAULT_OMEGA0 = CONSTANTS.gamma_p * 1.0
+_DEFAULT_OMEGA0 = GAMMA_P * 1.0
 
 
 @dataclass(frozen=True)
@@ -101,7 +85,6 @@ class PhysicalConfig:
     theta: float = 0.0
     omega0_larmor: float = _DEFAULT_OMEGA0
     N1: int = 100000
-    constants: FundamentalConstants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self):
         checks = [
@@ -121,8 +104,8 @@ class PhysicalConfig:
 
     @property
     def beta(self):
-        """hbar/(k_B T) in seconds."""
-        return self.constants.beta(self.T)
+        """Inverse temperature in time units, hbar/(k_B T), seconds."""
+        return HBAR / (K_B * self.T)
 
 
 #: Gypsum-like reference sample used throughout the examples.

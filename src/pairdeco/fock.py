@@ -119,8 +119,8 @@ def displaced_identity_residual(lam, mode, f=1.0):
     return float(np.max(np.abs(residual)))
 
 
-def cutoff_schedule(lambdas, omega, beta, n_steps=6):
-    """Doubling n_max schedule from the occupation-based cutoff rule.
+def cutoff_schedule(lambdas, omega, beta):
+    """Six doubling n_max steps from the occupation-based cutoff rule.
 
     n_max_initial = ceil(10*nbar + 4*max|lam/w|^2 + 20): the thermal tail
     and the coherent displacement both inflate the occupied levels.
@@ -128,7 +128,7 @@ def cutoff_schedule(lambdas, omega, beta, n_steps=6):
     nbar = 1.0 / np.expm1(beta * omega)
     disp = max((abs(complex(l) / omega) ** 2 for l in lambdas), default=0.0)
     n0 = int(np.ceil(10.0 * nbar + 4.0 * disp + 20.0))
-    return [n0 * 2**i for i in range(n_steps)]
+    return [n0 * 2**i for i in range(6)]
 
 
 def converge(op, schedule, tol):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import coth
+from .core import HBAR, M_P, coth
 from .decoherence import DecoherenceExponent, SingularModeError
 from .eigdist import sum_width
 from . import phonon
@@ -117,8 +117,7 @@ def zeta_closed_echo(cfg, x, t):
     """
     if t < 0:
         raise ValueError("t >= 0 required")
-    c = cfg.constants
-    scale = cfg.d**2 * c.hbar * cfg.a / (2.0 * cfg.v_s**3 * c.m_p)
+    scale = cfg.d**2 * HBAR * cfg.a / (2.0 * cfg.v_s**3 * M_P)
     return scale * (phi_step_echo(x, t, cfg.v_s) / (2.0 * math.pi)
                     - (cfg.v_s / cfg.a) * (t / 2.0)
                     * phonon.sinc_weight(x, cfg.a))

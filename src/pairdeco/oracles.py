@@ -36,12 +36,12 @@ EXTENDED_THRESHOLD = 1e-2
 #: largest Fock cutoff the double-double engine is run at
 MAX_EXTENDED_N = 700
 
-#: documented verification grid (omega = 1 units)
-GRID_LAMBDAS = (0.3, -0.3, 0.2j, -0.2j, 0.5)
+#: documented verification grid (omega = 1 units); -0.2j has real part -0.0
+GRID_LAMBDAS = (0.3, -0.3, 0.2j, complex(0.0, -0.2), 0.5)
 GRID_BETAS = (0.1, 1.0, 5.0)
 GRID_TIMES = (0.5, math.pi, 10.0)
 
-QUICK_LAMBDAS = (0.3, -0.2j, 0.5)
+QUICK_LAMBDAS = (0.3, complex(0.0, -0.2), 0.5)
 QUICK_BETAS = (1.0, 5.0)
 QUICK_TIMES = (0.5, math.pi)
 
@@ -64,19 +64,19 @@ def _point_record(kind, inputs, closed, numeric, n_used, method, tol):
     }
 
 
-def _float64_trace(kind, lm, ln, omega, beta, timing):
+def _float64_trace(kind, lm, ln, beta, timing):
     """Converged float64 trace of one grid point: (value, n_max).
 
     ``timing`` is the time t of a free point, the ReversalSchedule of a
     reversal point.
     """
     if kind == "free":
-        return fock.converged_s_free(lm, ln, omega, beta, timing)
-    return fock.converged_s_reversal(lm, ln, omega, beta, timing.t_F,
+        return fock.converged_s_free(lm, ln, 1.0, beta, timing)
+    return fock.converged_s_reversal(lm, ln, 1.0, beta, timing.t_F,
                                      timing.t_B, timing.f_B)
 
 
-def _extended_group(checks, pending, lm, ln, omega, beta, tol):
+def _extended_group(checks, pending, lm, ln, beta, tol):
     """Double-double records of one (lambda_m, lambda_n, beta) group.
 
     ``pending`` holds (slot, kind, inputs, closed, timing) per point;
@@ -86,7 +86,7 @@ def _extended_group(checks, pending, lm, ln, omega, beta, tol):
     cutoff passes MAX_EXTENDED_N is a ConfigError, raised before any
     eigensystem is built.
     """
-    n_max = max(xprec.tail_bound_n_max(beta, omega, (lm, ln),
+    n_max = max(xprec.tail_bound_n_max(beta, 1.0, (lm, ln),
                                        0.25 * tol * abs(closed))
                 for _, _, _, closed, _ in pending)
     if n_max > MAX_EXTENDED_N:
@@ -98,13 +98,13 @@ def _extended_group(checks, pending, lm, ln, omega, beta, tol):
     reversal = [p for p in pending if p[1] == "reversal"]
     numerics = []
     if free:
-        numerics += xprec.s_free_x(lm, ln, omega, beta,
+        numerics += xprec.s_free_x(lm, ln, 1.0, beta,
                                    [t for *_, t in free], n_max, eigensystems)
     if reversal:
         scheds = [sched for *_, sched in reversal]
         # every reversal point runs the ideal schedule: one f_B
         numerics += xprec.s_reversal_x(
-            lm, ln, omega, beta, [(s.t_F, s.t_B) for s in scheds],
+            lm, ln, 1.0, beta, [(s.t_F, s.t_B) for s in scheds],
             scheds[0].f_B, n_max, eigensystems)
     for (slot, kind, inputs, closed, _), numeric in zip(free + reversal,
                                                         numerics):
@@ -112,7 +112,7 @@ def _extended_group(checks, pending, lm, ln, omega, beta, tol):
                                      "extended", tol)
 
 
-def fock_suite(tol=1e-8, quick=False, omega=1.0):
+def fock_suite(tol=1e-8, quick=False):
     """Closed-form vs truncated-Fock agreement over the documented grid.
 
     Each grid time is the total evolution time; reversal points split it
@@ -134,29 +134,26 @@ def fock_suite(tol=1e-8, quick=False, omega=1.0):
     lambdas = QUICK_LAMBDAS if quick else GRID_LAMBDAS
     betas = QUICK_BETAS if quick else GRID_BETAS
     times = QUICK_TIMES if quick else GRID_TIMES
-    groups = [(lm_u, ln_u, beta_w) for i, lm_u in enumerate(lambdas)
-              for ln_u in lambdas[i:] for beta_w in betas]
+    groups = [(lm, ln, beta) for i, lm in enumerate(lambdas)
+              for ln in lambdas[i:] for beta in betas]
     checks = []
-    for index, (lm_u, ln_u, beta_w) in enumerate(groups, 1):
+    for index, (lm, ln, beta) in enumerate(groups, 1):
         start, first = time.perf_counter(), len(checks)
-        lm, ln = lm_u * omega, ln_u * omega
-        beta = beta_w / omega
         pending = []
-        for wt in times:
-            t = wt / omega
+        for t in times:
             inputs = {"lambda_m": _fmt_c(complex(lm)),
                       "lambda_n": _fmt_c(complex(ln)),
-                      "omega": omega, "beta_omega": beta_w, "omega_t": wt}
+                      "omega": 1.0, "beta_omega": beta, "omega_t": t}
             sched = ideal_echo_schedule(t)
             points = (
-                ("free", s_mn([(omega, lm, ln)], beta, t), t),
+                ("free", s_mn([(1.0, lm, ln)], beta, t), t),
                 ("reversal", reversal_exponent_k(
-                    lm, ln, omega, beta, sched).s_value(), sched),
+                    lm, ln, 1.0, beta, sched).s_value(), sched),
             )
             for kind, closed, timing in points:
                 if abs(closed) >= EXTENDED_THRESHOLD:
-                    numeric, n_used = _float64_trace(kind, lm, ln, omega,
-                                                     beta, timing)
+                    numeric, n_used = _float64_trace(kind, lm, ln, beta,
+                                                     timing)
                     checks.append(_point_record(kind, inputs, closed,
                                                 numeric, n_used, "float64",
                                                 tol))
@@ -165,7 +162,7 @@ def fock_suite(tol=1e-8, quick=False, omega=1.0):
                                     timing))
                     checks.append(None)
         if pending:
-            _extended_group(checks, pending, lm, ln, omega, beta, tol)
+            _extended_group(checks, pending, lm, ln, beta, tol)
         records = checks[first:]
         methods = "+".join(sorted({c["method"] for c in records}))
         n_max = max(c["n_max"] for c in records)
@@ -173,17 +170,17 @@ def fock_suite(tol=1e-8, quick=False, omega=1.0):
         print(f"oracle fock: group {index}/{len(groups)}, {methods}, "
               f"n_max {n_max}, {time.perf_counter() - start:.2f} s",
               file=sys.stderr)
-    checks.extend(fock_structure_checks(omega=omega, quick=quick))
+    checks.extend(fock_structure_checks())
     return _report("fock", checks)
 
 
-def fock_structure_checks(omega=1.0, quick=False):
-    """Identity checks that need no closed-form comparison."""
+def fock_structure_checks():
+    """Identity checks that need no closed-form comparison, at omega = 1."""
     checks = []
-    beta = 1.0 / omega
-    lambdas = (0.3 * omega, -0.2j * omega, 0.5 * omega)
-    mode = fock.TruncatedMode(
-        fock.cutoff_schedule(lambdas, omega, beta)[1], omega)
+    beta = 1.0
+    lambdas = (0.3, complex(0.0, -0.2), 0.5)
+    mode = fock.TruncatedMode(fock.cutoff_schedule(lambdas, 1.0, beta)[1],
+                              1.0)
 
     def record(name, value, bound):
         checks.append({"kind": name, "value": float(value),
@@ -203,7 +200,7 @@ def fock_structure_checks(omega=1.0, quick=False):
     record("modulus_bound", abs(s_ab) - 1.0, 1e-8)
 
     # f_B = 1 reversal equals free evolution over the total time
-    for t_f, t_b in ((0.4 / omega, 0.9 / omega), (1.0 / omega, 2.0 / omega)):
+    for t_f, t_b in ((0.4, 0.9), (1.0, 2.0)):
         r1 = fock.numeric_s_reversal(lambdas[0], lambdas[2], mode, beta,
                                      t_f, t_b, 1.0)
         r2 = fock.numeric_s_free(lambdas[0], lambdas[2], mode, beta,
@@ -212,19 +209,19 @@ def fock_structure_checks(omega=1.0, quick=False):
 
     # t_B = 0 degenerates to the free trace
     r3 = fock.numeric_s_reversal(lambdas[0], lambdas[2], mode, beta,
-                                 0.7 / omega, 0.0, -0.5)
-    r4 = fock.numeric_s_free(lambdas[0], lambdas[2], mode, beta, 0.7 / omega)
+                                 0.7, 0.0, -0.5)
+    r4 = fock.numeric_s_free(lambdas[0], lambdas[2], mode, beta, 0.7)
     record("reversal_t_B_zero", abs(r3 - r4), 1e-12)
 
     # displaced-operator identity on interior blocks
     for f in (1.0, -0.5):
         for lam in lambdas:
             res = fock.displaced_identity_residual(lam, mode, f)
-            record("displaced_identity", res, 1e-12 * omega)
+            record("displaced_identity", res, 1e-12)
     return checks
 
 
-def eigdist_suite(max_n=20):
+def eigdist_suite():
     """Exact-count cross-checks and central-limit diagnostics."""
     checks = []
 
@@ -281,8 +278,8 @@ def eigdist_suite(max_n=20):
     return _report("eigdist", checks)
 
 
-def ksum_suite(tol=0.02, n1=100000):
-    """Discrete k-sums against the continuum kernels at gypsum scale.
+def ksum_suite():
+    """Discrete k-sums against the continuum kernels at gypsum scale, 2%.
 
     gamma is compared inside the continuum window (its closed form is
     the linear-in-t regime, which saturates once t exceeds the longest
@@ -292,13 +289,13 @@ def ksum_suite(tol=0.02, n1=100000):
     the kernel scale, so those two points are measured relative to the
     x = 0 kernel magnitude.
     """
-    cfg = gypsum_config(N1=n1)
+    cfg = gypsum_config()
     checks = []
 
     def record(name, closed, numeric, rel, **extra):
         entry = {"kind": name, "closed_form": float(closed),
                  "numeric": float(numeric), "rel_err": float(rel),
-                 "passed": bool(rel <= tol)}
+                 "passed": bool(rel <= 0.02)}
         entry.update(extra)
         checks.append(entry)
 
@@ -325,7 +322,7 @@ def ksum_suite(tol=0.02, n1=100000):
                    scale=float(z_c0))
 
         # window consistency: refining the grid cannot worsen gamma
-        cfg4 = gypsum_config(N1=4 * n1)
+        cfg4 = gypsum_config(N1=4 * cfg.N1)
         g_d4, _, _ = phonon.discrete_kernel_sums(cfg4, t_window, 0.0)
         rel1 = abs(g_d - g_c) / abs(g_c)
         rel4 = abs(g_d4 - g_c) / abs(g_c)

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTANTS, KAPPA_VALUES, ConfigError, kappa_of
+from .core import (GAMMA_P, HBAR, K_B, KAPPA_VALUES, M_P, MU_0, ConfigError,
+                   kappa_of)
 from .decoherence import condensed_kernels
 from .eigdist import sum_width
 
 
-def dipolar_coupling(d, theta=0.0, constants=CONSTANTS):
+def dipolar_coupling(d, theta=0.0):
     """Secular dipolar coupling strength of one proton pair, rad/s.
 
     Omega0 = mu0 gamma_p^2 hbar/(8 pi) * (1 - 3 cos^2 theta)/d^3
@@ -32,9 +33,7 @@ def dipolar_coupling(d, theta=0.0, constants=CONSTANTS):
     factor = 1.0 - 3.0 * math.cos(theta) ** 2
     if abs(factor) < 1e-14:  # magic angle up to rounding of cos
         factor = 0.0
-    c = constants
-    return (c.mu_0 * c.gamma_p**2 * c.hbar / (8.0 * math.pi)
-            * factor / d**3)
+    return MU_0 * GAMMA_P**2 * HBAR / (8.0 * math.pi) * factor / d**3
 
 
 def lambda_coefficient(cfg, level):
@@ -43,13 +42,13 @@ def lambda_coefficient(cfg, level):
     lambda_m / g_k = -(3/2) (Omega0/d) kappa_m, in rad/(s m): the
     derivative of the dipolar coupling along the pair axis.
     """
-    omega0 = dipolar_coupling(cfg.d, cfg.theta, cfg.constants)
+    omega0 = dipolar_coupling(cfg.d, cfg.theta)
     return -1.5 * (omega0 / cfg.d) * kappa_of(level)
 
 
 def level_energy(cfg, level):
     """Unperturbed level energy E_m = (Omega0/2) kappa_m, rad/s."""
-    omega0 = dipolar_coupling(cfg.d, cfg.theta, cfg.constants)
+    omega0 = dipolar_coupling(cfg.d, cfg.theta)
     return 0.5 * omega0 * kappa_of(level)
 
 
@@ -65,11 +64,10 @@ def acoustic_coupling(k, cfg):
     k = np.asarray(k, dtype=float)
     if np.any(np.abs(k) > math.pi / cfg.a * (1.0 + 1e-12)):
         raise ConfigError("|k| <= pi/a violated")
-    c = cfg.constants
     omega_k = cfg.v_s * np.abs(k)
     # k = 0 divides by zero here; np.where then drops that entry
     with np.errstate(divide="ignore", invalid="ignore"):
-        u_k = np.sqrt(c.hbar / (2.0 * omega_k * c.m_p * cfg.N * 2.0))
+        u_k = np.sqrt(HBAR / (2.0 * omega_k * M_P * cfg.N * 2.0))
         g_k = -2.0j * u_k * np.sin(k * cfg.d / 2.0)
     return np.where(k == 0, 0j, g_k)
 
@@ -96,9 +94,8 @@ def closed_kernels(cfg, t):
     recurrence time N1 a/v_s of any discrete comparison.
     """
     _window_check(cfg, t, "closed_kernels")
-    c = cfg.constants
-    gamma = cfg.d**2 * c.k_B * cfg.T * cfg.a / (4.0 * cfg.v_s**3 * c.m_p) * t
-    epsilon = -cfg.d**2 * c.hbar / (4.0 * cfg.v_s**2 * c.m_p) * t
+    gamma = cfg.d**2 * K_B * cfg.T * cfg.a / (4.0 * cfg.v_s**3 * M_P) * t
+    epsilon = -cfg.d**2 * HBAR / (4.0 * cfg.v_s**2 * M_P) * t
     return gamma, epsilon
 
 
@@ -134,8 +131,7 @@ def zeta_closed(cfg, x, t):
     Exactly zero for x on a nonzero lattice site outside the sound cone.
     """
     _window_check(cfg, t, "zeta_closed")
-    c = cfg.constants
-    scale = cfg.d**2 * c.hbar * cfg.a / (2.0 * cfg.v_s**3 * c.m_p)
+    scale = cfg.d**2 * HBAR * cfg.a / (2.0 * cfg.v_s**3 * M_P)
     return scale * (phi_step(x, t, cfg.v_s) / (2.0 * math.pi)
                     - (cfg.v_s / cfg.a) * t * sinc_weight(x, cfg.a))
 
@@ -185,13 +181,13 @@ def decay_time(nu_d, sigma):
     return 1.0 / (2.0 * math.sqrt(2.0) * math.pi * nu_d * sigma)
 
 
-def decay_rate(nu_hat, v_s, sigma, constants=CONSTANTS):
+def decay_rate(nu_hat, v_s, sigma):
     """1/tau_X from the observable frequency nu_hat = 3|nu0|, 1/s.
 
     sqrt(2) pi^2 nu_hat^2 hbar sigma/(v_s^2 m_p)
     """
-    return (math.sqrt(2.0) * math.pi**2 * nu_hat**2 * constants.hbar
-            * sigma / (v_s**2 * constants.m_p))
+    return (math.sqrt(2.0) * math.pi**2 * nu_hat**2 * HBAR * sigma
+            / (v_s**2 * M_P))
 
 
 def rate_constants(cfg):
@@ -206,18 +202,16 @@ def rate_constants(cfg):
     error; elsewhere leaving the float range (an infinite or zero time,
     an overflow, a divisor that underflows to 0) raises ConfigError.
     """
-    c = cfg.constants
     try:
-        omega0 = dipolar_coupling(cfg.d, cfg.theta, cfg.constants)
-        nu_d = (9.0 * omega0**2 * c.hbar
-                / (32.0 * math.pi * cfg.v_s**2 * c.m_p))
+        omega0 = dipolar_coupling(cfg.d, cfg.theta)
+        nu_d = 9.0 * omega0**2 * HBAR / (32.0 * math.pi * cfg.v_s**2 * M_P)
         nu_0 = -omega0 / (4.0 * math.pi)
         sigma_x = sum_width(cfg.N ** (2.0 / 3.0))
         sigma_xp = sum_width(cfg.N)
         tau_g = tau_x = math.inf
         if omega0 != 0.0:
-            tau_g = 1.0 / (9.0 * omega0**2 * c.k_B * cfg.T * cfg.a
-                           / (16.0 * cfg.v_s**3 * c.m_p))
+            tau_g = 1.0 / (9.0 * omega0**2 * K_B * cfg.T * cfg.a
+                           / (16.0 * cfg.v_s**3 * M_P))
             tau_x = decay_time(nu_d, sigma_x)
         # a finite, nonzero tau_X needs finite nu_D and sigma_X
         in_range = (math.isfinite(sigma_xp) and min(tau_g, tau_x) > 0.0
@@ -246,7 +240,7 @@ def ix_matrix():
     return ix
 
 
-def initial_after_pulse(omega0_larmor, T, constants=CONSTANTS):
+def initial_after_pulse(omega0_larmor, T):
     """Deviation matrix right after a saturating pi/2 pulse.
 
     Delta sigma(0) = -(hbar w0 / K_B T) I_x: traceless, Hermitian, with
@@ -254,7 +248,7 @@ def initial_after_pulse(omega0_larmor, T, constants=CONSTANTS):
     """
     if T <= 0:
         raise ConfigError("T > 0 violated")
-    amp = -constants.hbar * omega0_larmor / (constants.k_B * T)
+    amp = -HBAR * omega0_larmor / (K_B * T)
     return amp * ix_matrix().astype(complex)
 
 
@@ -313,15 +307,18 @@ def _evolve_sigma(cfg, sigma0, t, exact_path, energy_phase):
     if energy_phase:
         phase = np.exp(2.0j * math.pi * rates.nu0 * dk * ts)
         out = out * phase
-    # tau_X = inf at the magic angle gives an envelope of exactly 1
-    envelope = np.exp(-((dk * ts / rates.tau_X) ** 2))
+    # tau_X = inf at the magic angle gives an envelope of exactly 1; an
+    # exponent that overflows to -inf gives exp(-inf) = 0, the exact limit
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-((dk * ts / rates.tau_X) ** 2))
     out = out * envelope
     if exact_path:
         ksq = np.subtract.outer(kappa**2, kappa**2)
         nud_phase = np.exp(2.0j * math.pi * rates.nuD * ksq * ts)
         out = out * nud_phase
         if math.isfinite(rates.tau_gamma):
-            slow = np.exp(-(dk**2) * ts / rates.tau_gamma)
+            with np.errstate(over="ignore"):
+                slow = np.exp(-(dk**2) * ts / rates.tau_gamma)
             out = out * slow
         out = out * gp
     return out if times.ndim else out[0]

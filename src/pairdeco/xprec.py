@@ -13,7 +13,7 @@ numpy arrays; exact-product sliced matrix multiplication (Ozaki, Ogita,
 Oishi & Rump, Numer. Algorithms 59, 2012) so BLAS does the heavy
 lifting.  Each row of the left operand and column of the right is cut
 into slices on one exponent ladder taken from its largest entry, with
-delta = floor((53 - ceil(log2(k*(n_slices + 1))))/2) bits per slice for
+delta = floor((53 - ceil(log2(k*(_N_SLICES + 1))))/2) bits per slice for
 inner dimension k, so the slice products of one level i + j share a
 unit and sum exactly in float64; each level sum is then added once into
 the double-double result.  The operands are Franck-Condon matrices, so
@@ -44,6 +44,8 @@ import numpy as np
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 #: rows of A per banded slice product in dd_matmul (32 to 128 time alike)
 _ROW_BLOCK = 64
+#: slices per dd_matmul operand; dd_matmul's docstring bounds the error
+_N_SLICES = 6
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +77,10 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def dd(hi, lo=None):
-    """Pack a double-double value; arrays broadcast as usual."""
+def dd(hi):
+    """A float64 value or array as double-double, with zero low words."""
     hi = np.asarray(hi, dtype=float)
-    lo = np.zeros_like(hi) if lo is None else np.asarray(lo, dtype=float)
-    return hi, lo
+    return hi, np.zeros_like(hi)
 
 
 def dd_add(x, y):
@@ -204,7 +205,7 @@ def _dd_add_f(x, p):
     return _fast_two_sum(s, e + x[1])
 
 
-def _slice_matrix(x, delta, axis, n_slices):
+def _slice_matrix(x, delta, axis):
     """Split a dd matrix into float64 slices on one exponent ladder.
 
     ``axis`` is the inner (contracted) dimension.  Each row of the left
@@ -214,19 +215,19 @@ def _slice_matrix(x, delta, axis, n_slices):
     delta), an exact extraction.  Slice i is thus an integer multiple of
     2**(e + 1 - (i + 1)*delta) and at most 2**(e - i*delta) in
     magnitude: at most delta bits on a unit that depends only on e and
-    i.  The slices leave about 2**(e - n_slices*delta) at most.
+    i.  The slices leave about 2**(e - _N_SLICES*delta) at most, unformed.
     """
     mu = np.max(np.abs(x[0]), axis=axis, keepdims=True)
     _, expo = np.frexp(mu)  # mu < 2**expo
     r = x
     slices = []
-    for i in range(n_slices):
+    for i in range(_N_SLICES):
+        if slices:
+            # the previous slice is r[0] rounded to a multiple of
+            # 2**(expo + 1 - i*delta), so r[0] minus it is exact
+            r = _fast_two_sum(r[0] - slices[-1], r[1])
         sigma = np.ldexp(1.0, expo + (53 - (i + 1) * delta))
-        s = (r[0] + sigma) - sigma
-        slices.append(s)
-        # s is r[0] rounded to a multiple of 2**(expo + 1 - (i+1)*delta),
-        # so r[0] - s is exact and only the renormalization remains
-        r = _fast_two_sum(r[0] - s, r[1])
+        slices.append((r[0] + sigma) - sigma)
     return slices
 
 
@@ -239,24 +240,24 @@ def _row_extents(s):
             np.where(any_, n - nonzero[:, ::-1].argmax(axis=1), 0))
 
 
-def dd_matmul(a, b, n_slices=6):
+def dd_matmul(a, b):
     """C = A @ B for double-double matrices, accurate to ~1e-30 relative.
 
     Each operand is sliced on one exponent ladder per row of A and per
     column of B (_slice_matrix).  Products of slices i, j with
-    i + j > n_slices lie below the target precision and are skipped;
-    the other 26 (at n_slices = 6) are summed per level i + j in
-    float64, and each of the n_slices + 1 level sums is added once into
-    the double-double result, smallest level first.
+    i + j > _N_SLICES lie below the target precision and are skipped;
+    the other 26 are summed per level i + j in float64, and each of the
+    _N_SLICES + 1 level sums is added once into the double-double
+    result, smallest level first.
 
     A level sum is exact.  Entry (r, c) of a level-L product is a sum of
     k terms, each an integer multiple of u = 2**(e_r + e_c + 2 -
     (L + 2)*delta) and at most 2**(2*delta - 2)*u in magnitude, and a
-    level holds fewer than n_slices + 1 products.  With
-    delta = floor((53 - ceil(log2(k*(n_slices + 1))))/2) every partial
+    level holds fewer than _N_SLICES + 1 products.  With
+    delta = floor((53 - ceil(log2(k*(_N_SLICES + 1))))/2) every partial
     sum, in BLAS or across the level, is a multiple of u below 2**53*u
     and so a float64.  The skipped levels and the slices' remainders
-    are about 2**(-n_slices*delta) of |A||B|: 2**-120, or 8e-37, at
+    are about 2**(-_N_SLICES*delta) of |A||B|: 2**-120, or 8e-37, at
     k = 545, where delta = 20.
 
     Slice products skip exact-zero stretches: a block of _ROW_BLOCK
@@ -273,17 +274,17 @@ def dd_matmul(a, b, n_slices=6):
     for name, x in (("a", a), ("b", b)):
         if not (np.isfinite(x[0]).all() and np.isfinite(x[1]).all()):
             raise ValueError(f"dd_matmul: operand {name} is not finite")
-    delta = (53 - math.ceil(math.log2(max(k, 1) * (n_slices + 1)))) // 2
-    a_slices = _slice_matrix(a, delta, axis=1, n_slices=n_slices)
-    b_slices = _slice_matrix(b, delta, axis=0, n_slices=n_slices)
+    delta = (53 - math.ceil(math.log2(max(k, 1) * (_N_SLICES + 1)))) // 2
+    a_slices = _slice_matrix(a, delta, axis=1)
+    b_slices = _slice_matrix(b, delta, axis=0)
     a_extents = [_row_extents(s) for s in a_slices]
     b_extents = [_row_extents(s) for s in b_slices]
     m, p = a[0].shape[0], b[0].shape[1]
     acc = dd(np.zeros((m, p)))
-    for level in range(n_slices, -1, -1):
+    for level in range(_N_SLICES, -1, -1):
         level_sum = np.zeros((m, p))
-        for i in range(max(0, level - n_slices + 1),
-                       min(level, n_slices - 1) + 1):
+        for i in range(max(0, level - _N_SLICES + 1),
+                       min(level, _N_SLICES - 1) + 1):
             a_s, (a_first, a_last) = a_slices[i], a_extents[i]
             b_s, (b_first, b_last) = b_slices[level - i], b_extents[level - i]
             for r0 in range(0, m, _ROW_BLOCK):

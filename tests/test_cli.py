@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pairdeco import cli, magicecho as me
+from pairdeco import cli, core, magicecho as me
 from pairdeco.core import gypsum_config
 from pairdeco.phonon import rate_constants
 
@@ -98,8 +98,8 @@ def test_evolve_free_trajectory(tmp_path):
     first = float(lines[1].split(",")[idx])
     rates = rate_constants(gypsum_config())
     cfg = gypsum_config()
-    amp = -(cfg.constants.hbar * cfg.omega0_larmor
-            / (cfg.constants.k_B * cfg.T)) / math.sqrt(2.0)
+    amp = -(core.HBAR * cfg.omega0_larmor
+            / (core.K_B * cfg.T)) / math.sqrt(2.0)
     assert first == pytest.approx(amp)
     t9 = float(lines[10].split(",")[0])
     v9 = float(lines[10].split(",")[idx])
@@ -153,6 +153,19 @@ def test_evolve_gprime_invalid_default_path_is_config_error(mode, tmp_path,
         assert run(["evolve", "--config", str(path), "--mode", mode,
                     "--exact-path", "--grid", "0:1e-4:3"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["free", "me"])
+def test_evolve_overflowing_envelope_is_silent(mode, tmp_path, capsys):
+    # at v_s = 1e-90 m/s, (dk t / tau_X)^2 overflows: exp(-inf) = 0 is
+    # the exact envelope, and numpy's overflow warning must not reach
+    # stderr
+    path = tmp_path / "slow.cfg"
+    path.write_text(GOOD_CONFIG.replace("4570", "1e-90"))
+    assert run(["evolve", "--config", str(path), "--mode", mode,
+                "--exact-path", "--grid", "0:1e-4:3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_failed_command_leaves_no_out_file(tmp_path, capsys):

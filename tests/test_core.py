@@ -6,15 +6,16 @@ from pairdeco import core
 
 
 def test_constants_positive():
-    c = core.CONSTANTS
-    assert c.hbar > 0 and c.k_B > 0 and c.mu_0 > 0
+    assert core.HBAR > 0 and core.K_B > 0 and core.MU_0 > 0
     # beta at room temperature is tens of femtoseconds
-    assert c.beta(300.0) == pytest.approx(2.546e-14, rel=1e-3)
+    assert core.gypsum_config(T=300.0).beta == pytest.approx(2.546e-14,
+                                                             rel=1e-3)
 
 
 def test_beta_rejects_nonpositive_temperature():
-    with pytest.raises(core.ConfigError):
-        core.CONSTANTS.beta(0.0)
+    # PhysicalConfig rejects the temperature before beta can divide by it
+    with pytest.raises(core.ConfigError, match="T > 0"):
+        core.gypsum_config(T=0.0)
 
 
 def test_kappa_table():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pairdeco import magicecho as me, phonon
+from pairdeco import core, magicecho as me, phonon
 from pairdeco.core import gypsum_config
 from pairdeco.decoherence import decoherence_exponent_k
 
@@ -91,8 +91,7 @@ def test_phi_step_echo_range(cfg):
 def test_zeta_closed_echo_halves_linear_term(cfg):
     t = 1e-6
     z_echo = me.zeta_closed_echo(cfg, 0.0, t)
-    c = cfg.constants
-    scale = cfg.d**2 * c.hbar * cfg.a / (2.0 * cfg.v_s**3 * c.m_p)
+    scale = cfg.d**2 * core.HBAR * cfg.a / (2.0 * cfg.v_s**3 * core.M_P)
     expected = scale * (7.0 / 8.0 - cfg.v_s / cfg.a * t / 2.0)
     assert z_echo == pytest.approx(expected, rel=1e-12)
 
@@ -155,11 +154,10 @@ def ix_expectation(cfg, t, n_pairs):
     four nonzero elements contribute |I_x|^2 summing to 2.  Must agree
     with n * Tr[I_x me_sigma(t)].
     """
-    c = cfg.constants
     rates = phonon.rate_constants(cfg)
     weight = np.sum(phonon.ix_matrix() ** 2)
     arg = 3.0 * t / (2.0 * rates.tau_X)
-    return (-c.hbar * cfg.omega0_larmor * n_pairs / (c.k_B * cfg.T)
+    return (-core.HBAR * cfg.omega0_larmor * n_pairs / (core.K_B * cfg.T)
             * float(weight) * math.exp(-(arg**2)))
 
 

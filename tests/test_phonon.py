@@ -49,11 +49,11 @@ def test_acoustic_coupling_structure(cfg):
 
 
 def test_acoustic_coupling_small_kd_limit(cfg):
-    c = cfg.constants
     k = 0.3 / cfg.d  # |k| d = 0.3 <= 0.35
     g = phonon.acoustic_coupling(k, cfg)
     omega_k = cfg.v_s * k
-    limit = c.hbar * cfg.d**2 / (4.0 * cfg.v_s**3 * c.m_p * cfg.N) / k
+    limit = (core.HBAR * cfg.d**2 / (4.0 * cfg.v_s**3 * core.M_P * cfg.N)
+             / k)
     assert abs(g) ** 2 / omega_k**2 == pytest.approx(limit, rel=1e-2)
 
 
@@ -130,8 +130,7 @@ def test_zeta_closed_special_points(cfg):
     q = 10**7  # q a = 8 mm
     # tolerance: ~1e-16 of the kernel scale (sin(pi q) rounding)
     assert phonon.zeta_closed(cfg, q * cfg.a, t) == pytest.approx(0.0, abs=1e-55)
-    c = cfg.constants
-    scale = cfg.d**2 * c.hbar * cfg.a / (2.0 * cfg.v_s**3 * c.m_p)
+    scale = cfg.d**2 * core.HBAR * cfg.a / (2.0 * cfg.v_s**3 * core.M_P)
     expected = scale * (0.5 - cfg.v_s / cfg.a * t)
     assert phonon.zeta_closed(cfg, 0.0, t) == pytest.approx(expected, rel=1e-12)
 
@@ -179,7 +178,7 @@ def test_initial_after_pulse(cfg):
     s0 = phonon.initial_after_pulse(cfg.omega0_larmor, cfg.T)
     assert np.allclose(np.diag(s0), 0.0)
     assert np.allclose(s0, s0.conj().T)
-    amp = -cfg.constants.hbar * cfg.omega0_larmor / (cfg.constants.k_B * cfg.T)
+    amp = -core.HBAR * cfg.omega0_larmor / (core.K_B * cfg.T)
     assert s0[0, 1] == pytest.approx(amp / math.sqrt(2.0))
     assert s0[0, 2] == 0.0
 
@@ -241,12 +240,11 @@ def test_discrete_kernel_sums_match_full_grid_sum(n1):
     # the direct sum over q = +-1..+-N1/2 with partner coupling
     # g_k exp(-ikx), whose sin(kx) part the half-grid form drops
     cfg = gypsum_config(N1=n1)
-    c = cfg.constants
     half = n1 // 2
     q = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
     k = 2.0 * math.pi * q / (n1 * cfg.a)
     omega = cfg.v_s * np.abs(k)
-    g2 = (4.0 * c.hbar / (2.0 * omega * c.m_p * cfg.N * 2.0)
+    g2 = (4.0 * core.HBAR / (2.0 * omega * core.M_P * cfg.N * 2.0)
           * np.sin(k * cfg.d / 2.0) ** 2)
     base = cfg.N / n1 * g2 / omega**2
     coth_f = 1.0 / np.tanh(cfg.beta * omega / 2.0)

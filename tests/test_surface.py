@@ -3,6 +3,8 @@
 A top-level def, class or constant of a pairdeco module that no other
 statement in src/ refers to is dead code, or a helper that belongs in
 the tests.  Imports do not count as uses: a re-export is not a caller.
+Likewise, a defaulted parameter of a public function that no call in
+src/ passes is an option with one value in use, so it is a constant.
 """
 
 import ast
@@ -77,3 +79,63 @@ def test_package_namespace_holds_only_the_version():
     assert isinstance(docstring.value, ast.Constant)
     assert [ast.unparse(node) for node in rest] == [
         f"__version__ = {pairdeco.__version__!r}"]
+
+
+#: defaulted parameters no call in src/ passes, each with the reason
+ALLOWED_DEFAULTS = {
+    # ROADMAP item 4 gives the float64 convergence test per-point values
+    "converged_s_free.tol": "fock, per-point tolerance to come",
+    "converged_s_reversal.tol": "fock, per-point tolerance to come",
+    "main.argv": "cli, the console entry passes none",
+    # cmd_evolve calls both through its local name ``evolve``
+    "free_sigma.exact_path": "phonon, passed as evolve(exact_path=...)",
+    "me_sigma.exact_path": "magicecho, passed as evolve(exact_path=...)",
+}
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def unset_defaults():
+    """function.parameter of each defaulted parameter of a public
+    top-level function that no call in src/ passes."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    passed = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _callee(call):
+                positions, names = passed.setdefault(_callee(call),
+                                                     (set(), set()))
+                positions.update(range(len(call.args)))
+                names.update(k.arg for k in call.keywords)
+    unset = set()
+    for tree in trees:
+        for node in tree.body:
+            if (not isinstance(node, ast.FunctionDef)
+                    or node.name.startswith("_")):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            # (position or None if keyword-only, parameter)
+            defaulted = [(i, arg) for i, arg in enumerate(positional)
+                         if i >= first]
+            defaulted += [(None, arg) for arg, default in
+                          zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            positions, names = passed.get(node.name, (set(), set()))
+            unset.update(f"{node.name}.{arg.arg}" for index, arg in defaulted
+                         if index not in positions and arg.arg not in names)
+    return unset
+
+
+def test_every_default_is_set_by_a_caller():
+    unset = unset_defaults()
+    assert unset - set(ALLOWED_DEFAULTS) == set(), "defaults nothing sets"
+    assert set(ALLOWED_DEFAULTS) - unset == set(), "allowed defaults now set"

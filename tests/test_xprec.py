@@ -25,8 +25,8 @@ def test_dd_scalar_ops_vs_mpmath():
     rng = np.random.default_rng(7)
     hi = rng.standard_normal(50)
     lo = rng.standard_normal(50) * 1e-18
-    a = xp.dd(hi, lo)
-    b = xp.dd(rng.standard_normal(50), rng.standard_normal(50) * 1e-18)
+    a = (hi, lo)
+    b = (rng.standard_normal(50), rng.standard_normal(50) * 1e-18)
     for op, mp_op in [(xp.dd_add, lambda x, y: x + y),
                       (xp.dd_sub, lambda x, y: x - y),
                       (xp.dd_mul, lambda x, y: x * y),
@@ -124,12 +124,12 @@ def test_dd_matmul_level_sums_at_exactness_edge(k):
             assert err < 1e-28 * abs(expected), (i, j)
 
 
-def _dense_dd_matmul(a, b, n_slices=6):
+def _dense_dd_matmul(a, b):
     # dd_matmul's level loop with every slice product formed in full
-    k = a[0].shape[1]
+    n_slices, k = xp._N_SLICES, a[0].shape[1]
     delta = (53 - math.ceil(math.log2(k * (n_slices + 1)))) // 2
-    a_s = xp._slice_matrix(a, delta, axis=1, n_slices=n_slices)
-    b_s = xp._slice_matrix(b, delta, axis=0, n_slices=n_slices)
+    a_s = xp._slice_matrix(a, delta, axis=1)
+    b_s = xp._slice_matrix(b, delta, axis=0)
     acc = xp.dd(np.zeros((a[0].shape[0], b[0].shape[1])))
     for level in range(n_slices, -1, -1):
         pairs = range(max(0, level - n_slices + 1),
@@ -307,7 +307,7 @@ def test_extended_group_rejects_cutoff_past_gate(monkeypatch):
     closed = 1.9e-12 + 0j
     pending = [(0, "free", {}, closed, t)]
     with pytest.raises(ConfigError, match="cutoff of 7267"):
-        oracles._extended_group([None], pending, lm, ln, 1.0, beta, 1e-300)
+        oracles._extended_group([None], pending, lm, ln, beta, 1e-300)
 
 
 def test_s_free_x_matches_float64_easy_point():
