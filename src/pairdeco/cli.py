@@ -71,7 +71,10 @@ def _parse_grid(spec):
         return np.array([start])
     if stop < start:
         raise _UsageError("grid stop must be >= start")
-    return np.linspace(start, stop, steps)
+    try:
+        return np.linspace(start, stop, steps)
+    except MemoryError:
+        raise _UsageError(f"grid {spec!r} is too large to allocate") from None
 
 
 @contextlib.contextmanager

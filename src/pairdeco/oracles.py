@@ -86,7 +86,7 @@ def _extended_group(checks, pending, lm, ln, beta, tol):
     cutoff passes MAX_EXTENDED_N is a ConfigError, raised before any
     eigensystem is built.
     """
-    n_max = max(xprec.tail_bound_n_max(beta, 1.0, (lm, ln),
+    n_max = max(xprec.tail_bound_n_max(beta, (lm, ln),
                                        0.25 * tol * abs(closed))
                 for _, _, _, closed, _ in pending)
     if n_max > MAX_EXTENDED_N:
@@ -98,13 +98,13 @@ def _extended_group(checks, pending, lm, ln, beta, tol):
     reversal = [p for p in pending if p[1] == "reversal"]
     numerics = []
     if free:
-        numerics += xprec.s_free_x(lm, ln, 1.0, beta,
-                                   [t for *_, t in free], n_max, eigensystems)
+        numerics += xprec.s_free_x(lm, ln, beta, [t for *_, t in free],
+                                   n_max, eigensystems)
     if reversal:
         scheds = [sched for *_, sched in reversal]
         # every reversal point runs the ideal schedule: one f_B
         numerics += xprec.s_reversal_x(
-            lm, ln, 1.0, beta, [(s.t_F, s.t_B) for s in scheds],
+            lm, ln, beta, [(s.t_F, s.t_B) for s in scheds],
             scheds[0].f_B, n_max, eigensystems)
     for (slot, kind, inputs, closed, _), numeric in zip(free + reversal,
                                                         numerics):

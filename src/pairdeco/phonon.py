@@ -248,7 +248,10 @@ def initial_after_pulse(omega0_larmor, T):
     """
     if T <= 0:
         raise ConfigError("T > 0 violated")
-    amp = -HBAR * omega0_larmor / (K_B * T)
+    kt = K_B * T  # underflows to 0 below T ~ 2e-301 K
+    amp = -HBAR * omega0_larmor / kt if kt > 0 else math.inf
+    if not math.isfinite(amp):
+        raise ConfigError(f"hbar w0 / (K_B T) at T = {T:g} K is not finite")
     return amp * ix_matrix().astype(complex)
 
 

@@ -6,39 +6,24 @@ Hamiltonians.  Grid points whose decoherence function is smaller than
 ~1e-3 therefore cannot be verified to 1e-8 *relative* in plain float64.
 This module reproduces the same truncated-Fock traces with ~1e-30
 arithmetic so the relative comparison stays meaningful down to
-|S| ~ 1e-16.
+|S| ~ 1e-16.  It works in omega = 1 units: times are omega*t and
+inverse temperatures beta*omega.
 
-Machinery: double-double (pairs of float64) arithmetic vectorized over
-numpy arrays; exact-product sliced matrix multiplication (Ozaki, Ogita,
-Oishi & Rump, Numer. Algorithms 59, 2012) so BLAS does the heavy
-lifting.  Each row of the left operand and column of the right is cut
-into slices on one exponent ladder taken from its largest entry, with
-delta = floor((53 - ceil(log2(k*(_N_SLICES + 1))))/2) bits per slice for
-inner dimension k, so the slice products of one level i + j share a
-unit and sum exactly in float64; each level sum is then added once into
-the double-double result.  The operands are Franck-Condon matrices, so
-most slice entries are exact zeros; each slice product forms only the
-nonzero band of each block of rows, and as a level's partial sums are
-exact, omitting zero terms changes no bit but perhaps a zero's sign.
-Tridiagonal reduction of M + f*J by a diagonal phase similarity;
-eigenpairs seeded by float64 eigh and refined by two Newton steps, each
-a double-double residual projected on the basis in float64.  mpmath
-supplies only scalar phases and thermal weights (cheap, and independent
-of the matrix algebra).
-
-The traces take a sequence of times.  Eigensystems and overlaps do not
-depend on t and are built once per call; an eigensystem depends only on
-the cutoff and |f*lambda|, and callers share them across calls through
-one ``eigensystems`` dict.  Overlaps whose phase diagonal is real take
-one real matrix product, and the reversal trace is grouped so that each
-time multiplies complex matrices by real ones only.
+Machinery, all in double-double (pairs of float64) arithmetic vectorized
+over numpy arrays: matrix products sliced into exact float64 products
+that BLAS forms (dd_matmul, after Ozaki, Ogita, Oishi & Rump, Numer.
+Algorithms 59, 2012); the tridiagonal reduction of M + f*J by a diagonal
+phase similarity, with eigenpairs seeded by float64 eigh and refined by
+Newton steps (tridiag_eigh_dd); the phases exp(-+i E t) by argument
+reduction and Taylor series (Hida, Li & Bailey, ARITH-15, 2001), the
+thermal weights as powers of exp(-beta) and the gauge by complex
+products, each tested against 50-digit mpmath.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -46,6 +31,8 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 _ROW_BLOCK = 64
 #: slices per dd_matmul operand; dd_matmul's docstring bounds the error
 _N_SLICES = 6
+#: pi/2 as double-double; the pair errs by 1.5e-33
+_HALF_PI = (1.5707963267948966, 6.123233995736766e-17)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +139,30 @@ def dd_to_float(x):
     return x[0] + x[1]
 
 
-def dd_from_mpf(value):
-    """Scalar mpmath -> double-double."""
-    hi = float(value)
-    lo = float(value - mpmath.mpf(hi))
-    return hi, lo
+def _series(x, divisors):
+    """1 + x/d_1 (1 + x/d_2 (... (1 + x/d_m))) by Horner's rule.
+
+    With d_k = k this is the Taylor series of exp(x); with x = -r**2
+    and d_k = (2k - 1) 2k or 2k (2k + 1), those of cos r and sin(r)/r.
+    """
+    p = dd(np.ones_like(x[0]))
+    for d in divisors[::-1]:
+        p = dd_add(dd(1.0), dd_div(dd_mul(x, p), dd(d)))
+    return p
+
+
+def _exp(x):
+    """exp(x) of a float64 x >= 0 as double-double, by scaling and squaring.
+
+    The Taylor series is summed to 30 terms at x / 2**m < 1, leaving <
+    1.2e-34; each of the m squarings doubles its relative error, which
+    ends near 2**m eps <= max(1, 2 x) eps.
+    """
+    m = max(math.frexp(x)[1], 0)
+    v = _series(dd(x * 2.0 ** -m), np.arange(1.0, 31.0))
+    for _ in range(m):
+        v = dd_mul(v, v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +190,46 @@ def cdd_to_complex(x):
     return complex(dd_to_float(x[0]), dd_to_float(x[1]))
 
 
-def _cdd_map(func, x):
-    """func applied to every float64 array of a complex dd value."""
-    return tuple(None if part is None else (func(part[0]), func(part[1]))
-                 for part in x)
+def _cdd_map(func, *xs):
+    """func applied word by word to the float64 arrays of complex dd values."""
+    return tuple(None if parts[0] is None else
+                 (func(*(x[0] for x in parts)), func(*(x[1] for x in parts)))
+                 for parts in zip(*xs))
+
+
+def _cis(theta):
+    """exp(i theta) = (cos theta, sin theta), complex dd, for dd theta.
+
+    theta = j pi/2 + r with j the integer nearest theta/(pi/2), so |r|
+    <= pi/4.  The products of j by the words of _HALF_PI are exact, so
+    r errs only by j times _HALF_PI's error: 1e-29 at |theta| = 1e4.
+    Taylor series give cos r and sin r, and i**j, whose words are 0 and
+    +-1, turns them exactly.
+    """
+    j = np.rint(theta[0] / _HALF_PI[0])
+    r = dd_sub(dd_sub(theta, _two_prod(j, _HALF_PI[0])),
+               _two_prod(j, _HALF_PI[1]))
+    k = np.arange(1.0, 15.0)  # at |r| <= pi/4 the terms left are < 3e-36
+    x = dd_neg(dd_mul(r, r))
+    cos_r = _series(x, (2.0 * k - 1.0) * 2.0 * k)
+    sin_r = dd_mul(r, _series(x, 2.0 * k * (2.0 * k + 1.0)))
+    turn = np.mod(j, 4.0).astype(int)
+    return cdd_mul((cos_r, sin_r), (dd(np.array([1.0, 0.0, -1.0, 0.0])[turn]),
+                                    dd(np.array([0.0, 1.0, 0.0, -1.0])[turn])))
+
+
+def _powers(z, n):
+    """z**j for j < n, by repeated doubling with cdd_mul.
+
+    ``z`` is a complex dd scalar, its imaginary part None if zero, as is
+    that of the powers.  z in {+-1, +-i} gives exactly +-1 and +-i.
+    """
+    p = dd(np.ones(1)), None if z[1] is None else dd(np.zeros(1))
+    while p[0][0].shape[0] < n:
+        # p holds z**j for j < len(p), and z is now z**len(p)
+        p = _cdd_map(lambda a, b: np.concatenate([a, b]), p, cdd_mul(p, z))
+        z = cdd_mul(z, z)
+    return _cdd_map(lambda x: x[:n], p)
 
 
 # ---------------------------------------------------------------------------
@@ -386,66 +428,37 @@ def tridiag_residual(diag_dd, off_dd, eigvals, v):
 # extended-precision Fock traces
 # ---------------------------------------------------------------------------
 
-def _mp_ctx():
-    ctx = mpmath.mp.clone()
-    ctx.dps = 50
-    return ctx
-
-
-def _mode_system(omega, lam, f, n_max, ctx, eigensystems):
+def _mode_system(lam, f, n_max, eigensystems):
     """Tridiagonal reduction of M + f*J and its dd eigensystem.
 
     M + f*J has constant off-diagonal phase; the diagonal similarity
     diag(u^j) with u = sign(f) conj(lam)/|lam|, the phase of (f*lam)*
     for real f, makes it real symmetric with off-diagonal |f*lam|
-    sqrt(j); any unit u serves when f*lam = 0.  Two systems of one lam
-    thus have u_a conj(u_b) = +-1 exactly.  The eigensystem depends on
-    lam and f only through |f*lam|, so ``eigensystems`` keeps one per
-    (omega, n_max, |f*lam|) and every (lam, f) that reduces to it
-    shares it.  Returns (E dd, V dd, u mpc).
+    sqrt(j); any unit u serves when f*lam = 0.  For real or imaginary
+    lam, |lam| and u are exact.  ``eigensystems`` keeps one eigensystem
+    per (n_max, |f*lam| hi, lo).  Returns (E dd, V dd, u complex dd).
     """
-    z = ctx.mpc(lam.real, lam.imag)
-    mag = abs(z * f)
-    u = ctx.mpc(1, 0) if z == 0 else ctx.conj(z) / abs(z)
-    if f < 0:
-        u = -u
-    key = (float(omega), n_max, mag)
+    sign = -1.0 if f < 0 else 1.0
+    re, im = np.float64(sign * lam.real), np.float64(-sign * lam.imag)
+    abs_lam = dd_sqrt(dd_add(_two_prod(re, re), _two_prod(im, im)))
+    mag = dd_mul_f(abs_lam, abs(f))
+    u = dd(1.0), dd(0.0)
+    if abs_lam[0] != 0:
+        u = dd_div(dd(re), abs_lam), dd_div(dd(im), abs_lam)
+    key = (n_max, float(mag[0]), float(mag[1]))
     if key not in eigensystems:
-        n = np.arange(n_max + 1, dtype=float)
-        diag_dd = _two_prod(np.full(n_max + 1, float(omega)), n)
-        if mag == 0:
+        diag_dd = dd(np.arange(n_max + 1, dtype=float))
+        if mag[0] == 0:
             off_dd = dd(np.zeros(n_max))
         else:
-            mag_dd = dd_from_mpf(mag)
             root = dd_sqrt(dd(np.arange(1, n_max + 1, dtype=float)))
-            off_dd = dd_mul(root, (np.full(n_max, mag_dd[0]),
-                                   np.full(n_max, mag_dd[1])))
+            off_dd = dd_mul(root, mag)
         eigensystems[key] = tridiag_eigh_dd(diag_dd, off_dd)
     eigvals, vectors = eigensystems[key]
     return eigvals, vectors, u
 
 
-def _cdd_vector(values):
-    re_hi = np.array([float(v.real) for v in values])
-    im_hi = np.array([float(v.imag) for v in values])
-    re_lo = np.array([float(v.real - mpmath.mpf(h))
-                      for v, h in zip(values, re_hi)])
-    im_lo = np.array([float(v.imag - mpmath.mpf(h))
-                      for v, h in zip(values, im_hi)])
-    return (re_hi, re_lo), (im_hi, im_lo)
-
-
-def _phase_vector(eigvals, t, sign, ctx):
-    """exp(sign * i * E_j * t) as complex dd, phases done in mpmath."""
-    values = []
-    t_mp = ctx.mpf(t)
-    for hi, lo in zip(eigvals[0], eigvals[1]):
-        theta = (ctx.mpf(hi) + ctx.mpf(lo)) * t_mp * sign
-        values.append(ctx.mpc(ctx.cos(theta), ctx.sin(theta)))
-    return _cdd_vector(values)
-
-
-def _overlap(sys_a, sys_b, ctx, weights=None):
+def _overlap(sys_a, sys_b, weights=None):
     """V_a^T diag(c) V_b with c_j = (u_a conj(u_b))^j, times weights_j.
 
     ``sys_a`` and ``sys_b`` are _mode_system results.  With U_a = D_a^+
@@ -455,43 +468,36 @@ def _overlap(sys_a, sys_b, ctx, weights=None):
     collinear lambdas; then one dd_matmul forms it, else two.
     """
     (_, v_a, u_a), (_, v_b, u_b) = sys_a, sys_b
-    ratio = u_a * ctx.conj(u_b)
-    c = [ctx.mpc(1, 0)]
-    for _ in range(v_a[0].shape[0] - 1):
-        c.append(c[-1] * ratio)
+    ratio = cdd_mul(u_a, (u_b[0], dd_neg(u_b[1])))
+    if ratio[1][0] == 0:
+        ratio = ratio[0], None
+    c = _powers(ratio, v_a[0].shape[0])
     if weights is not None:
-        c = [x * w for x, w in zip(c, weights)]
+        c = cdd_mul(c, (weights, None))
     a_t = dd_transpose(v_a)
-
-    def part(values):
-        return dd_matmul(a_t, dd_mul((values[0][:, None], values[1][:, None]),
-                                     v_b))
-
-    c_re, c_im = _cdd_vector(c)
-    if ratio.imag == 0:
-        return part(c_re), None
-    return part(c_re), part(c_im)
+    return tuple(None if x is None else
+                 dd_matmul(a_t, dd_mul((x[0][:, None], x[1][:, None]), v_b))
+                 for x in c)
 
 
-def _thermal_weights(beta, omega, n_max, ctx):
-    w = [ctx.exp(-ctx.mpf(beta) * ctx.mpf(omega) * j)
-         for j in range(n_max + 1)]
-    z = ctx.fsum(w)
-    return [wi / z for wi in w]
+def _thermal_weights(beta, n_max):
+    """exp(-beta j) / Z for j <= n_max, as powers of exp(-beta)."""
+    q = dd_div(dd(1.0), _exp(beta))
+    w = _powers((q, None), n_max + 1)[0]
+    return dd_div(w, dd_sum(w, axis=0))
 
 
-def tail_bound_n_max(beta, omega, lambdas, target_abs):
+def tail_bound_n_max(beta, lambdas, target_abs):
     """Truncation level with thermal-tail trace error below target_abs.
 
-    The neglected trace mass beyond n is bounded by ~2 q^(n+1)/(1-q)^2
-    with q = exp(-beta*omega); a displacement margin mirrors the float64
-    cutoff rule.
+    The neglected trace mass beyond n is below ~2 q^(n+1)/(1-q)^2, q =
+    exp(-beta); a displacement margin mirrors the float64 cutoff rule.
     """
-    q = math.exp(-beta * omega)
+    q = math.exp(-beta)
     c = 2.0 / (1.0 - q) ** 2
     # log(c) - log(target) stays finite where c/target overflows
-    n_tail = (math.log(c) - math.log(target_abs)) / (beta * omega)
-    disp = max((abs(complex(l) / omega) ** 2 for l in lambdas), default=0.0)
+    n_tail = (math.log(c) - math.log(target_abs)) / beta
+    disp = max((abs(complex(l)) ** 2 for l in lambdas), default=0.0)
     return int(math.ceil(n_tail + 4.0 * disp + 20.0))
 
 
@@ -501,8 +507,7 @@ def _bilinear(w, left, right):
     return cdd_to_complex(cdd_sum(cdd_mul(rows, left), axis=0))
 
 
-def s_free_x(lambda_m, lambda_n, omega, beta, times, n_max,
-             eigensystems=None):
+def s_free_x(lambda_m, lambda_n, beta, times, n_max, eigensystems=None):
     """Extended-precision Tr[exp(-iH_m t) Theta exp(+iH_n t)] per t in times.
 
     Eigensystems and overlaps do not depend on t and are built once per
@@ -510,23 +515,19 @@ def s_free_x(lambda_m, lambda_n, omega, beta, times, n_max,
     sum.  Calls at one cutoff that pass the same ``eigensystems`` dict
     build each distinct tridiagonal once between them.
     """
-    ctx = _mp_ctx()
     if eigensystems is None:
         eigensystems = {}
-    sys_m = _mode_system(omega, complex(lambda_m), 1.0, n_max, ctx,
-                         eigensystems)
-    sys_n = _mode_system(omega, complex(lambda_n), 1.0, n_max, ctx,
-                         eigensystems)
-    weights = _thermal_weights(beta, omega, n_max, ctx)
-    a_mat = _overlap(sys_m, sys_n, ctx, weights)
-    b_mat = _overlap(sys_n, sys_m, ctx)
+    sys_m = _mode_system(complex(lambda_m), 1.0, n_max, eigensystems)
+    sys_n = _mode_system(complex(lambda_n), 1.0, n_max, eigensystems)
+    a_mat = _overlap(sys_m, sys_n, _thermal_weights(beta, n_max))
+    b_mat = _overlap(sys_n, sys_m)
     # S = sum_jl pm_j A_jl B_lj pn_l
     a_b = cdd_mul(a_mat, _cdd_map(np.transpose, b_mat))
-    return [_bilinear(a_b, _phase_vector(sys_m[0], t, -1, ctx),
-                      _phase_vector(sys_n[0], t, +1, ctx)) for t in times]
+    return [_bilinear(a_b, _cis(dd_mul_f(sys_m[0], -t)),
+                      _cis(dd_mul_f(sys_n[0], t))) for t in times]
 
 
-def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
+def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
                  eigensystems=None):
     """Extended-precision five-factor reversal trace per (t_F, t_B) in times.
 
@@ -537,21 +538,19 @@ def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
     products as four real dd matmuls.  The overlaps are built once per
     call; ``eigensystems`` is shared as in s_free_x.
     """
-    ctx = _mp_ctx()
     if eigensystems is None:
         eigensystems = {}
     lm, ln = complex(lambda_m), complex(lambda_n)
     systems = [
-        _mode_system(omega, lm, f_B, n_max, ctx, eigensystems),  # 1: back, m
-        _mode_system(omega, lm, 1.0, n_max, ctx, eigensystems),  # 2: fwd, m
-        _mode_system(omega, ln, 1.0, n_max, ctx, eigensystems),  # 3: fwd, n
-        _mode_system(omega, ln, f_B, n_max, ctx, eigensystems),  # 4: back, n
+        _mode_system(lm, f_B, n_max, eigensystems),  # 1: back, m
+        _mode_system(lm, 1.0, n_max, eigensystems),  # 2: fwd, m
+        _mode_system(ln, 1.0, n_max, eigensystems),  # 3: fwd, n
+        _mode_system(ln, f_B, n_max, eigensystems),  # 4: back, n
     ]
-    weights = _thermal_weights(beta, omega, n_max, ctx)
-    g12, _ = _overlap(systems[0], systems[1], ctx)
-    g_theta = _overlap(systems[1], systems[2], ctx, weights)
-    g34, _ = _overlap(systems[2], systems[3], ctx)
-    g41 = _overlap(systems[3], systems[0], ctx)
+    g12, _ = _overlap(systems[0], systems[1])
+    g_theta = _overlap(systems[1], systems[2], _thermal_weights(beta, n_max))
+    g34, _ = _overlap(systems[2], systems[3])
+    g41 = _overlap(systems[3], systems[0])
 
     def times_real(mat, col_phase, real):
         """(mat D) @ real, D = diag(col_phase): one dd_matmul per part."""
@@ -560,10 +559,10 @@ def s_reversal_x(lambda_m, lambda_n, omega, beta, times, f_B, n_max,
 
     def trace(t_F, t_B):
         """Tr(P Q) at one time; its P and Q die before the next time's."""
-        p1 = _phase_vector(systems[0][0], t_B, -1, ctx)
-        p2 = _phase_vector(systems[1][0], t_F, -1, ctx)
-        p3 = _phase_vector(systems[2][0], t_F, +1, ctx)
-        p4 = _phase_vector(systems[3][0], t_B, +1, ctx)
+        p1 = _cis(dd_mul_f(systems[0][0], -t_B))
+        p2 = _cis(dd_mul_f(systems[1][0], -t_F))
+        p3 = _cis(dd_mul_f(systems[2][0], t_F))
+        p4 = _cis(dd_mul_f(systems[3][0], t_B))
         p_mat = times_real(g_theta, p3, g34)
         q_mat = times_real(g41, p1, g12)
         # Tr(P Q) = sum_jl p2_j (G_theta D3 G34)_jl p4_l (G41 D1 G12)_lj

@@ -134,6 +134,37 @@ def test_evolve_bad_grid(capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["evolve", "--grid", "0:1e-4:1000000000000000"],
+    ["sweep", "--n-grid", "1e21:1e24:1000000000000000",
+     "--vs-grid", "3000:6000:3"]])
+def test_unallocatable_grid_is_usage_error(args, capsys):
+    # 7 PiB of float64 is refused at once, so nothing is allocated
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: grid {args[2]!r} is too large to "
+                            "allocate\n")
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sample", [
+    "T_K = 1e-320\n", "T_K = 1e-30\nomega0_larmor_radps = 1e300\n"],
+    ids=["kt-underflow", "amplitude-overflow"])
+def test_evolve_non_finite_amplitude_is_config_error(sample, tmp_path,
+                                                     capsys):
+    # K_B T underflows to 0 at T = 1e-320 K; at 1e-30 K and w0 = 1e300
+    # rad/s, hbar w0 / (K_B T) overflows
+    path, out = tmp_path / "cold.cfg", tmp_path / "out.csv"
+    path.write_text(GOOD_CONFIG.replace("T_K = 300\n", sample))
+    assert run(["evolve", "--config", str(path), "--grid", "0:1e-4:3",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hbar w0 / (K_B T) at T = ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["free", "me"])
 def test_evolve_gprime_invalid_default_path_is_config_error(mode, tmp_path,
                                                            capsys):

@@ -12,6 +12,13 @@ def test_truncated_mode_structure():
     assert mode.lowering[0, 1] == 1.0
     assert mode.lowering[4, 5] == pytest.approx(math.sqrt(5))
     assert np.all(np.diag(mode.number) == np.arange(6))
+    # [b, b+] is the identity but for the truncation corner, -n_max
+    for n_max in (5, 700):
+        mode = fock.TruncatedMode(n_max, 1.0)
+        comm = mode.lowering @ mode.raising - mode.raising @ mode.lowering
+        expected = np.eye(n_max + 1, dtype=complex)
+        expected[-1, -1] = -n_max
+        assert np.allclose(comm, expected, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         fock.TruncatedMode(0, 1.0)
     with pytest.raises(ValueError):

@@ -8,7 +8,10 @@ src/ passes is an option with one value in use, so it is a constant.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pairdeco
 
@@ -139,3 +142,23 @@ def test_every_default_is_set_by_a_caller():
     unset = unset_defaults()
     assert unset - set(ALLOWED_DEFAULTS) == set(), "defaults nothing sets"
     assert set(ALLOWED_DEFAULTS) - unset == set(), "allowed defaults now set"
+
+
+def test_runtime_does_not_import_mpmath():
+    # mpmath is a test dependency: the 50-digit reference of the tests
+    code = """if True:
+        import math, sys
+        import pairdeco.cli
+        assert "mpmath" not in sys.modules, "import pairdeco.cli"
+        from pairdeco import xprec
+        # the oracle's hardest point, at a small cutoff
+        xprec.s_free_x(0.5, -0.3, 0.1, [math.pi], 40)
+        assert "mpmath" not in sys.modules, "xprec.s_free_x"
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                             else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,12 @@ def _mp(x):
     return mpmath.mpf(x[0]) + mpmath.mpf(x[1])
 
 
+def dd_from_mpf(value):
+    """Scalar mpmath -> double-double."""
+    hi = float(value)
+    return hi, float(value - mpmath.mpf(hi))
+
+
 @pytest.fixture(autouse=True)
 def _dps():
     with mpmath.workdps(50):
@@ -55,6 +61,68 @@ def test_dd_sum_pairwise():
     assert abs(_mp(s) - expected) < 1e-28
 
 
+@pytest.mark.parametrize("bound, tol", [(math.pi, 1e-30), (1e4, 1e-27)])
+def test_cis_vs_mpmath(bound, tol):
+    # the oracle grid's E t reaches about 7e3
+    rng = np.random.default_rng(31)
+    hi = rng.uniform(-bound, bound, 400)
+    hi[:3] = 0.0, bound, -bound
+    # quadrant edges near theta = 0 and near the largest j
+    j = np.arange(-8, 9) if bound < 4 else np.arange(6350, 6367)
+    hi[3:20] = (j + 0.5) * math.pi / 2
+    theta = xp._fast_two_sum(hi, hi * rng.standard_normal(400) * 2.0**-60)
+    cos, sin = xp._cis(theta)
+    for i in range(400):
+        exact = _mp((theta[0][i], theta[1][i]))
+        assert abs(_mp((cos[0][i], cos[1][i])) - mpmath.cos(exact)) <= tol
+        assert abs(_mp((sin[0][i], sin[1][i])) - mpmath.sin(exact)) <= tol
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 5.0])
+def test_thermal_weights_vs_mpmath(beta):
+    w = xp._thermal_weights(beta, 700)
+    exact = [mpmath.exp(-mpmath.mpf(beta) * j) for j in range(701)]
+    z = mpmath.fsum(exact)
+    for j, e in enumerate(exact):
+        if e / z > 1e-290:
+            assert abs(_mp((w[0][j], w[1][j])) - e / z) <= 1e-28 * e / z, j
+
+
+def test_powers_vs_mpmath():
+    p = xp._powers((xp.dd(0.6), xp.dd(-0.8)), 600)
+    for j in range(600):
+        exact = mpmath.mpc(0.6, -0.8) ** j
+        got = mpmath.mpc(_mp((p[0][0][j], p[0][1][j])),
+                         _mp((p[1][0][j], p[1][1][j])))
+        assert abs(got - exact) <= 1e-28 * abs(exact), j
+
+
+@pytest.mark.parametrize("re, im, cycle", [(1.0, None, [1]),
+                                           (-1.0, None, [1, -1]),
+                                           (0.0, 1.0, [1, 1j, -1, -1j]),
+                                           (0.0, -1.0, [1, -1j, -1, 1j])])
+def test_powers_of_axis_units_are_exact(re, im, cycle):
+    p = xp._powers((xp.dd(re), None if im is None else xp.dd(im)), 41)
+    want = np.array([cycle[j % len(cycle)] for j in range(41)], dtype=complex)
+    assert np.array_equal(p[0][0], want.real) and not np.any(p[0][1])
+    if im is None:
+        assert p[1] is None
+    else:
+        assert np.array_equal(p[1][0], want.imag) and not np.any(p[1][1])
+
+
+@pytest.mark.parametrize("lam", [0.3, -0.3, 0.2j, complex(0.0, -0.2), 0.5])
+@pytest.mark.parametrize("f", [1.0, -0.5])
+def test_mode_system_gauge_exact_on_axes(lam, f):
+    eigensystems = {}
+    *_, u = xp._mode_system(complex(lam), f, 3, eigensystems)
+    # |f lambda| has a zero low word
+    assert list(eigensystems) == [(3, abs(f * lam), 0.0)]
+    want = math.copysign(1.0, f) * complex(lam).conjugate() / abs(lam)
+    assert (u[0][0], u[1][0]) == (want.real, want.imag)
+    assert u[0][1] == 0.0 and u[1][1] == 0.0
+
+
 def test_dd_matmul_vs_mpmath():
     rng = np.random.default_rng(11)
     n = 30
@@ -93,7 +161,7 @@ def test_dd_matmul_level_sums_at_exactness_edge(k):
     digit = 2 ** (delta - 1) - 1
     # five full-width positive slices on the ladder of e = 0: the level
     # sums of full rows times full columns reach their largest values
-    full = xp.dd_from_mpf(mpmath.fsum(digit * two ** (1 - (i + 1) * delta)
+    full = dd_from_mpf(mpmath.fsum(digit * two ** (1 - (i + 1) * delta)
                                       for i in range(5)))
     one = digit * 2.0 ** (1 - delta)   # nothing left after one slice
     # one slice, then a residual far below the next rung of the ladder
@@ -198,11 +266,11 @@ def test_dd_matmul_overlap_operands_equal_dense(monkeypatch, mag):
         return matmul(a, b)
 
     monkeypatch.setattr(xp, "dd_matmul", captured)
-    ctx, eigensystems = xp._mp_ctx(), {}
-    sys_a = xp._mode_system(1.0, complex(mag), 1.0, 544, ctx, eigensystems)
-    sys_b = xp._mode_system(1.0, complex(-mag), 1.0, 544, ctx, eigensystems)
-    xp._overlap(sys_a, sys_b, ctx, xp._thermal_weights(0.1, 1.0, 544, ctx))
-    xp._overlap(sys_b, sys_a, ctx)
+    eigensystems = {}
+    sys_a = xp._mode_system(complex(mag), 1.0, 544, eigensystems)
+    sys_b = xp._mode_system(complex(-mag), 1.0, 544, eigensystems)
+    xp._overlap(sys_a, sys_b, xp._thermal_weights(0.1, 544))
+    xp._overlap(sys_b, sys_a)
     monkeypatch.undo()
     assert len(operands) == 2
     for a, b in operands:
@@ -271,8 +339,7 @@ def test_tridiag_eigh_dd_at_oracle_size(monkeypatch, mag):
         return build(diag, off)
 
     monkeypatch.setattr(xp, "tridiag_eigh_dd", captured)
-    eigvals, vectors, _ = xp._mode_system(1.0, complex(mag), 1.0, 544,
-                                          xp._mp_ctx(), {})
+    eigvals, vectors, _ = xp._mode_system(complex(mag), 1.0, 544, {})
     (diag, off), = built
     assert xp.tridiag_residual(diag, off, eigvals, vectors) < 1e-27
     assert _gram_error(vectors) < 1e-29
@@ -290,13 +357,13 @@ def test_tridiag_eigh_dd_rejects_close_eigenvalues():
 
 
 def test_tail_bound_n_max():
-    n_hot = xp.tail_bound_n_max(0.1, 1.0, (0.5,), 1e-20)
-    n_cold = xp.tail_bound_n_max(5.0, 1.0, (0.5,), 1e-20)
+    n_hot = xp.tail_bound_n_max(0.1, (0.5,), 1e-20)
+    n_cold = xp.tail_bound_n_max(5.0, (0.5,), 1e-20)
     assert n_hot > n_cold
     assert n_cold >= 20
     # 0.25 * tol * |S| at tol = 1e-300 is subnormal: c/target overflows,
     # its logarithm does not
-    assert xp.tail_bound_n_max(0.1, 1.0, (-0.3, 0.5),
+    assert xp.tail_bound_n_max(0.1, (-0.3, 0.5),
                                0.25 * 1e-300 * 1.9e-12) == 7267
 
 
@@ -313,8 +380,8 @@ def test_extended_group_rejects_cutoff_past_gate(monkeypatch):
 def test_s_free_x_matches_float64_easy_point():
     lm, ln, beta, t = 0.3, -0.2j, 1.0, 0.5
     s64, _ = fock.converged_s_free(lm, ln, 1.0, beta, t)
-    sx, = xp.s_free_x(lm, ln, 1.0, beta, [t],
-                      xp.tail_bound_n_max(beta, 1.0, (lm, ln), 1e-20))
+    sx, = xp.s_free_x(lm, ln, beta, [t],
+                      xp.tail_bound_n_max(beta, (lm, ln), 1e-20))
     assert abs(sx - s64) < 5e-10
 
 
@@ -322,8 +389,8 @@ def test_s_free_x_matches_closed_form_hard_point():
     # strong decoherence: |S| ~ 7e-12, far below the float64 trace floor
     lm, ln, beta, t = 0.5, -0.3, 0.1, math.pi
     closed = s_mn([(1.0, lm, ln)], beta, t)
-    n = xp.tail_bound_n_max(beta, 1.0, (lm, ln), 0.25e-8 * abs(closed))
-    sx, = xp.s_free_x(lm, ln, 1.0, beta, [t], n)
+    n = xp.tail_bound_n_max(beta, (lm, ln), 0.25e-8 * abs(closed))
+    sx, = xp.s_free_x(lm, ln, beta, [t], n)
     assert abs(sx - closed) / abs(closed) < 1e-10
 
 
@@ -332,28 +399,28 @@ def test_s_reversal_x_matches_closed_form_hard_point():
     t_f = math.pi
     sched = ReversalSchedule(t_F=t_f, t_B=2 * t_f, f_B=-0.5)
     closed = reversal_exponent_k(lm, ln, 1.0, beta, sched).s_value()
-    n = xp.tail_bound_n_max(beta, 1.0, (lm, ln), 0.25e-8 * abs(closed))
-    sx, = xp.s_reversal_x(lm, ln, 1.0, beta, [(t_f, 2 * t_f)], -0.5, n)
+    n = xp.tail_bound_n_max(beta, (lm, ln), 0.25e-8 * abs(closed))
+    sx, = xp.s_reversal_x(lm, ln, beta, [(t_f, 2 * t_f)], -0.5, n)
     assert abs(sx - closed) / abs(closed) < 1e-10
 
 
 def test_s_reversal_x_f1_additivity():
     lm, ln, beta = 0.3, -0.2j, 1.0
-    n = xp.tail_bound_n_max(beta, 1.0, (lm, ln), 1e-20)
-    r, = xp.s_reversal_x(lm, ln, 1.0, beta, [(0.5, 1.0)], 1.0, n)
-    f, = xp.s_free_x(lm, ln, 1.0, beta, [1.5], n)
+    n = xp.tail_bound_n_max(beta, (lm, ln), 1e-20)
+    r, = xp.s_reversal_x(lm, ln, beta, [(0.5, 1.0)], 1.0, n)
+    f, = xp.s_free_x(lm, ln, beta, [1.5], n)
     assert abs(r - f) < 1e-25
 
 
 def test_multi_time_traces_equal_single_time_calls():
     lm, ln, beta, n = 0.3, -0.2j, 1.0, 60
     times = [0.5, 1.3, math.pi]
-    free = xp.s_free_x(lm, ln, 1.0, beta, times, n)
-    assert free == [xp.s_free_x(lm, ln, 1.0, beta, [t], n)[0]
+    free = xp.s_free_x(lm, ln, beta, times, n)
+    assert free == [xp.s_free_x(lm, ln, beta, [t], n)[0]
                     for t in times]
     pairs = [(t / 3.0, 2.0 * t / 3.0) for t in times]
-    rev = xp.s_reversal_x(lm, ln, 1.0, beta, pairs, -0.5, n)
-    assert rev == [xp.s_reversal_x(lm, ln, 1.0, beta, [p], -0.5, n)[0]
+    rev = xp.s_reversal_x(lm, ln, beta, pairs, -0.5, n)
+    assert rev == [xp.s_reversal_x(lm, ln, beta, [p], -0.5, n)[0]
                    for p in pairs]
 
 
@@ -368,34 +435,32 @@ def test_group_builds_each_tridiagonal_once(monkeypatch):
     monkeypatch.setattr(xp, "tridiag_eigh_dd", counted)
     # |f lambda| takes two values over the four reversal systems
     eigensystems = {}
-    xp.s_reversal_x(0.3, -0.3, 1.0, 1.0, [(0.5, 1.0), (1.0, 2.0)], -0.5, 40,
+    xp.s_reversal_x(0.3, -0.3, 1.0, [(0.5, 1.0), (1.0, 2.0)], -0.5, 40,
                     eigensystems)
     assert sorted(builds) == pytest.approx([0.15, 0.3])
     # a free trace at the same cutoff reuses them
-    xp.s_free_x(0.3, -0.3, 1.0, 1.0, [1.5], 40, eigensystems)
+    xp.s_free_x(0.3, -0.3, 1.0, [1.5], 40, eigensystems)
     assert len(builds) == 2
 
 
 def test_shared_lambda_overlaps_are_real():
     # G12 and G34 pair the back and forward systems of one lambda
-    ctx = xp._mp_ctx()
     eigensystems = {}
-    back = xp._mode_system(1.0, 0.3 + 0.4j, -1.0 / 3.0, 30, ctx,
-                           eigensystems)
-    fwd = xp._mode_system(1.0, 0.3 + 0.4j, 1.0, 30, ctx, eigensystems)
+    back = xp._mode_system(0.3 + 0.4j, -1.0 / 3.0, 30, eigensystems)
+    fwd = xp._mode_system(0.3 + 0.4j, 1.0, 30, eigensystems)
     for sys_a, sys_b in ((back, fwd), (fwd, back)):
-        _, im = xp._overlap(sys_a, sys_b, ctx)
+        _, im = xp._overlap(sys_a, sys_b)
         assert im is None
 
 
 def test_s_reversal_x_non_collinear_complex_pair():
     lm, ln, beta, t_f, t_b = 0.3 + 0.4j, -0.2j, 1.0, 0.5, 1.0
-    n = xp.tail_bound_n_max(beta, 1.0, (lm, ln), 1e-20)
+    n = xp.tail_bound_n_max(beta, (lm, ln), 1e-20)
     s64, _ = fock.converged_s_reversal(lm, ln, 1.0, beta, t_f, t_b, -0.5)
-    sx, = xp.s_reversal_x(lm, ln, 1.0, beta, [(t_f, t_b)], -0.5, n)
+    sx, = xp.s_reversal_x(lm, ln, beta, [(t_f, t_b)], -0.5, n)
     assert abs(sx - s64) < 5e-10
-    r, = xp.s_reversal_x(lm, ln, 1.0, beta, [(t_f, t_b)], 1.0, n)
-    f, = xp.s_free_x(lm, ln, 1.0, beta, [t_f + t_b], n)
+    r, = xp.s_reversal_x(lm, ln, beta, [(t_f, t_b)], 1.0, n)
+    f, = xp.s_free_x(lm, ln, beta, [t_f + t_b], n)
     assert abs(r - f) < 1e-25
 
 
@@ -414,17 +479,17 @@ def _count_dd_matmul(monkeypatch):
 def test_dd_matmul_count_real_pair(monkeypatch):
     calls = _count_dd_matmul(monkeypatch)
     pairs = [(0.5, 1.0), (1.0, 2.0), (0.2, 0.4)]
-    xp.s_reversal_x(0.3, -0.3, 1.0, 1.0, pairs, -0.5, 30)
+    xp.s_reversal_x(0.3, -0.3, 1.0, pairs, -0.5, 30)
     # one product per overlap, all four real; four per time
     assert len(calls) == 4 + 4 * len(pairs)
     calls.clear()
-    xp.s_free_x(0.3, -0.3, 1.0, 1.0, [0.5, 1.5], 30)
+    xp.s_free_x(0.3, -0.3, 1.0, [0.5, 1.5], 30)
     assert len(calls) == 2
 
 
 def test_dd_matmul_count_complex_pair(monkeypatch):
     calls = _count_dd_matmul(monkeypatch)
     pairs = [(0.5, 1.0), (1.0, 2.0), (0.2, 0.4)]
-    xp.s_reversal_x(0.3, -0.2j, 1.0, 1.0, pairs, -0.5, 30)
+    xp.s_reversal_x(0.3, -0.2j, 1.0, pairs, -0.5, 30)
     # G12 and G34 stay real; G_theta and G41 take at most two each
     assert len(calls) <= 6 + 4 * len(pairs)
