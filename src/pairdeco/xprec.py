@@ -17,7 +17,7 @@ phase similarity, with eigenpairs seeded by float64 eigh and refined by
 Newton steps (tridiag_eigh_dd); the phases exp(-+i E t) by argument
 reduction and Taylor series (Hida, Li & Bailey, ARITH-15, 2001), the
 thermal weights as powers of exp(-beta) and the gauge by complex
-products, each tested against 50-digit mpmath.
+products, each tested against a 50-digit reference.
 """
 
 from __future__ import annotations
