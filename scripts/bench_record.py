@@ -3,13 +3,15 @@
 Usage: python3 scripts/bench_record.py PR [CHECKOUT]
 
 Runs ``perfbench/run.py`` once per workload that ``BENCHMARK.json``
-declares (seed 1, the declared run length, untraced), then the Tier-1
-test suite, all inside CHECKOUT (default: this repository).  Writes
+declares (seed 1, the declared run length, untraced), then the
+full-grid ``oracle fock`` on one BLAS thread, then the Tier-1 test
+suite, all inside CHECKOUT (default: this repository).  Writes
 ``BENCH_<PR>.json`` at the root of this repository with, per workload,
 the run's machine line and result line, plus the line count of
-``src/`` and the Tier-1 wall time and summary line.  A checkout of an
-older commit is measured with the same script, so two files differ
-only in the code they measured.
+``src/``, the full-grid oracle's wall time as ``fock_full_s`` and the
+Tier-1 wall time and summary line.  A checkout of an older commit is
+measured with the same script, so two files differ only in the code
+they measured.
 """
 
 from __future__ import annotations
@@ -45,12 +47,39 @@ def src_lines(checkout):
                for path in sorted((checkout / "src").rglob("*.py")))
 
 
-def tier1(checkout):
-    """Wall time, exit code and summary line of the Tier-1 test run."""
+def checkout_env(checkout):
+    """The environment with CHECKOUT's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src")] + ([env["PYTHONPATH"]]
                                    if env.get("PYTHONPATH") else []))
+    return env
+
+
+def fock_full(checkout):
+    """Wall seconds of ``oracle fock`` on the full grid, one BLAS thread.
+
+    The benchmark's grid-verify holds only part of the grid's float64
+    points and double-double groups; this times all of them.
+    """
+    env = checkout_env(checkout)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        env[name] = "1"
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "pairdeco.cli", "oracle",
+                           "fock"], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.monotonic() - start
+    if proc.returncode != 0:
+        sys.exit(f"bench_record: oracle fock exited {proc.returncode}: "
+                 f"{proc.stderr.strip()[-500:]}")
+    return round(wall, 2)
+
+
+def tier1(checkout):
+    """Wall time, exit code and summary line of the Tier-1 test run."""
+    env = checkout_env(checkout)
     start = time.monotonic()
     proc = subprocess.run([sys.executable] + TIER1, cwd=checkout, env=env,
                           capture_output=True, text=True)
@@ -77,6 +106,8 @@ def main(argv=None):
         record["workloads"][name] = run_workload(
             checkout, spec["command"], name, spec["run_seconds"])
     record["src_lines"] = src_lines(checkout)
+    print("bench_record: full-grid oracle fock", file=sys.stderr)
+    record["fock_full_s"] = fock_full(checkout)
     print("bench_record: tier-1 tests", file=sys.stderr)
     record["tier1"] = tier1(checkout)
     out = ROOT / f"BENCH_{pr}.json"

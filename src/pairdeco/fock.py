@@ -1,8 +1,24 @@
 """Brute-force decoherence traces over a truncated bosonic Fock space.
 
-This is the independent numerical check of the closed forms: the trace
-Tr[exp(-i(M+J_m)t) Theta exp(+i(M+J_n)t)] is evaluated by dense Hermitian
-eigendecomposition, with no coherent-state algebra anywhere.
+The independent numerical check of the closed forms: the traces over
+the levels j <= n_max, with no coherent-state algebra anywhere, in
+omega = 1 units (times omega*t, inverse temperatures beta*omega).
+``xprec`` evaluates the same formula in double-double:
+
+* M + f*J, J = lam* b + lam b+, has diagonal j and off-diagonal
+  f*lam* sqrt(j) above it.  With D = diag(u^j), u = sign(f)
+  conj(lam)/|lam| (any unit when f*lam = 0), D (M + f*J) D^+ is the
+  real symmetric tridiagonal T with off-diagonal |f*lam| sqrt(j), an
+  exact similarity.  T = V diag(E) V^T, so M + f*J has the
+  eigenvectors U = D^+ V.
+* Two systems meet through U_a^+ diag(w) U_b = V_a^T diag(c w) V_b,
+  c_j = (u_a conj(u_b))^j, real for one lambda or collinear lambdas;
+  w_j = exp(-beta j)/Z for Theta, else 1.
+* Free: with A = U_m^+ Theta U_n, B = U_n^+ U_m and the phases
+  pm = exp(-i E_m t), pn = exp(+i E_n t), S = sum_jl pm_j A_jl B_lj pn_l.
+* Reversal, systems 1 = (m, f_B), 2 = (m, 1), 3 = (n, 1), 4 = (n, f_B)
+  with phase diagonals D_i: Tr(D1 G12 D2 G_theta D3 G34 D4 G41) =
+  Tr(P Q), P = D2 (G_theta D3) G34 and Q = D4 (G41 D1) G12.
 """
 
 from __future__ import annotations
@@ -19,68 +35,61 @@ class ConvergenceError(RuntimeError):
         self.previous = previous
 
 
-class TruncatedMode:
-    """Single bath mode truncated at occupation n_max.
-
-    Carries dense (n_max+1) x (n_max+1) matrices for the lowering,
-    raising and number operators.  The commutator [b, b+] equals the
-    identity except at the truncation corner, where it is -n_max.
-    """
-
-    def __init__(self, n_max, omega):
-        if n_max < 1:
-            raise ValueError("n_max >= 1 required")
-        if omega <= 0:
-            raise ValueError("omega > 0 required")
-        self.n_max = int(n_max)
-        self.omega = float(omega)
-        n = np.arange(self.n_max + 1)
-        self.lowering = np.diag(np.sqrt(n[1:]).astype(complex), 1)
-        self.raising = self.lowering.conj().T
-        self.number = np.diag(n.astype(complex))
-
-    def hamiltonian(self, lam, f=1.0):
-        """M + f*J with J = lam* b + lam b+ (Hermitian), in rad/s."""
-        lam = complex(lam)
-        return (self.omega * self.number
-                + f * (np.conj(lam) * self.lowering + lam * self.raising))
-
-
-def thermal_state(mode, beta):
-    """Thermal state Theta = exp(-beta w b+b)/Z over the truncated space.
-
-    Diagonal, non-negative, trace exactly 1.
-    """
-    if beta * mode.omega <= 0:
-        raise ValueError("beta*omega > 0 required")
-    n = np.arange(mode.n_max + 1)
-    weights = np.exp(-beta * mode.omega * n)
-    z = weights.sum()
-    if not np.isfinite(z) or z == 0.0:
-        raise ValueError("thermal weights underflowed to zero")
-    weights = weights / z
-    # pin the trace to exactly 1 in floating point
+def _thermal_weights(beta, n_max):
+    """exp(-beta j)/Z for j <= n_max, pinned to sum to exactly 1."""
+    if not 0.0 < beta < np.inf:
+        raise ValueError("0 < beta*omega < inf required")
+    weights = np.exp(-beta * np.arange(n_max + 1))
+    weights /= weights.sum()
     weights[0] += 1.0 - weights.sum()
-    return np.diag(weights.astype(complex))
+    return weights
 
 
-def _propagator(mode, lam, t, f=1.0):
-    """exp(-i (M + f J) t) by Hermitian eigendecomposition."""
-    energies, vectors = np.linalg.eigh(mode.hamiltonian(lam, f))
-    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+def _powers(z, n):
+    """z**j for j < n by repeated doubling; z in {+-1, +-i} stays exact."""
+    p = np.ones(1, dtype=type(z))
+    while p.size < n:
+        p, z = np.concatenate([p, p * z]), z * z
+    return p[:n]
 
 
-def numeric_s_free(lambda_m, lambda_n, mode, beta, t):
+def _mode_systems(pairs, n_max):
+    """(E, V, u) of M + f*J per (lam, f), one eigh per distinct |f*lam|."""
+    root, eigensystems, systems = np.sqrt(np.arange(1, n_max + 1)), {}, []
+    for lam, f in pairs:
+        lam = complex(lam)
+        mag = abs(f * lam)
+        if mag not in eigensystems:
+            off = np.diag(mag * root, 1)
+            eigensystems[mag] = np.linalg.eigh(
+                np.diag(np.arange(n_max + 1.0)) + off + off.T)
+        u = np.copysign(1.0, f) * lam.conjugate() / abs(lam) if lam else 1.0
+        systems.append(eigensystems[mag] + (u,))
+    return systems
+
+
+def _overlap(sys_a, sys_b, weights):
+    """V_a^T diag(c w) V_b with c_j = (u_a conj(u_b))^j; w is 1 or a vector."""
+    (_, v_a, u_a), (_, v_b, u_b) = sys_a, sys_b
+    ratio = complex(u_a * np.conj(u_b))
+    ratio /= abs(ratio)
+    c = _powers(ratio.real if ratio.imag == 0 else ratio, v_a.shape[0])
+    return v_a.T @ ((c * weights)[:, None] * v_b)
+
+
+def numeric_s_free(lambda_m, lambda_n, n_max, beta, t):
     """Tr[exp(-i(M+J_m)t) Theta exp(+i(M+J_n)t)] on the truncated space."""
     if t < 0:
         raise ValueError("t >= 0 required")
-    theta = thermal_state(mode, beta)
-    forward = _propagator(mode, lambda_m, t)
-    backward = _propagator(mode, lambda_n, -t)
-    return complex(np.trace(forward @ theta @ backward))
+    sys_m, sys_n = _mode_systems(((lambda_m, 1.0), (lambda_n, 1.0)), n_max)
+    a_mat = _overlap(sys_m, sys_n, _thermal_weights(beta, n_max))
+    b_mat = _overlap(sys_n, sys_m, 1.0)
+    # S = sum_jl pm_j A_jl B_lj pn_l
+    pm, pn = np.exp(-1j * sys_m[0] * t), np.exp(1j * sys_n[0] * t)
+    return complex(pm @ (a_mat * b_mat.T) @ pn)
 
 
-def numeric_s_reversal(lambda_m, lambda_n, mode, beta, t_F, t_B, f_B):
+def numeric_s_reversal(lambda_m, lambda_n, n_max, beta, t_F, t_B, f_B):
     """Five-factor trace of the forward/backward (reversal) sequence.
 
     Tr[exp(-i(M+f_B J_m)t_B) exp(-i(M+J_m)t_F) Theta
@@ -88,40 +97,44 @@ def numeric_s_reversal(lambda_m, lambda_n, mode, beta, t_F, t_B, f_B):
     """
     if t_F < 0 or t_B < 0:
         raise ValueError("t_F, t_B >= 0 required")
-    theta = thermal_state(mode, beta)
-    left = (_propagator(mode, lambda_m, t_B, f_B)
-            @ _propagator(mode, lambda_m, t_F))
-    right = (_propagator(mode, lambda_n, -t_F)
-             @ _propagator(mode, lambda_n, -t_B, f_B))
-    return complex(np.trace(left @ theta @ right))
+    s1, s2, s3, s4 = _mode_systems(
+        ((lambda_m, f_B), (lambda_m, 1.0), (lambda_n, 1.0), (lambda_n, f_B)),
+        n_max)
+    g12, g34 = _overlap(s1, s2, 1.0), _overlap(s3, s4, 1.0)
+    g_theta = _overlap(s2, s3, _thermal_weights(beta, n_max))
+    g41 = _overlap(s4, s1, 1.0)
+    p1, p2 = np.exp(-1j * s1[0] * t_B), np.exp(-1j * s2[0] * t_F)
+    p3, p4 = np.exp(1j * s3[0] * t_F), np.exp(1j * s4[0] * t_B)
+    p_mat = (g_theta * p3) @ g34
+    q_mat = (g41 * p1) @ g12
+    # Tr(P Q) = sum_jl p2_j (G_theta D3 G34)_jl p4_l (G41 D1 G12)_lj
+    return complex(p2 @ (p_mat * q_mat.T) @ p4)
 
 
-def displaced_identity_residual(lam, mode, f=1.0):
+def displaced_identity_residual(lam, n_max, f):
     """Max-norm residual of the displaced-operator identity.
 
-    Builds N = a+a from a = b + f*lam/w and compares M + f*J against
-    w*N - f^2 |lam|^2/w on the interior (non-corner) block.
+    Builds N = a+a from a = b + f*lam and compares M + f*J against
+    N - f^2 |lam|^2 on the interior (non-corner) block, with b the
+    dense sqrt(j) lowering matrix on j <= n_max.
     """
     lam = complex(lam)
-    dim = mode.n_max + 1
-    shift = f * lam / mode.omega
-    a = mode.lowering + shift * np.eye(dim)
-    n_disp = a.conj().T @ a
-    lhs = mode.hamiltonian(lam, f)
-    rhs = (mode.omega * n_disp
-           - (f**2) * abs(lam) ** 2 / mode.omega * np.eye(dim))
-    residual = (lhs - rhs)[:-1, :-1]
-    return float(np.max(np.abs(residual)))
+    n = np.arange(n_max + 1)
+    b = np.diag(np.sqrt(n[1:]), 1)
+    a = b + f * lam * np.eye(n_max + 1)
+    lhs = np.diag(n) + f * (np.conj(lam) * b + lam * b.T)
+    rhs = a.conj().T @ a - (f**2) * abs(lam) ** 2 * np.eye(n_max + 1)
+    return float(np.max(np.abs((lhs - rhs)[:-1, :-1])))
 
 
-def cutoff_schedule(lambdas, omega, beta):
+def cutoff_schedule(lambdas, beta):
     """Six doubling n_max steps from the occupation-based cutoff rule.
 
-    n_max_initial = ceil(10*nbar + 4*max|lam/w|^2 + 20): the thermal tail
+    n_max_initial = ceil(10*nbar + 4*max|lam|^2 + 20): the thermal tail
     and the coherent displacement both inflate the occupied levels.
     """
-    nbar = 1.0 / np.expm1(beta * omega)
-    disp = max((abs(complex(l) / omega) ** 2 for l in lambdas), default=0.0)
+    nbar = 1.0 / np.expm1(beta)
+    disp = max((abs(complex(l)) ** 2 for l in lambdas), default=0.0)
     n0 = int(np.ceil(10.0 * nbar + 4.0 * disp + 20.0))
     return [n0 * 2**i for i in range(6)]
 
@@ -148,21 +161,17 @@ def converge(op, schedule, tol):
     )
 
 
-def converged_s_free(lambda_m, lambda_n, omega, beta, t, tol=1e-10):
+def converged_s_free(lambda_m, lambda_n, beta, t, tol=1e-10):
     """numeric_s_free under the doubling cutoff rule."""
     def op(n_max):
-        return numeric_s_free(lambda_m, lambda_n,
-                              TruncatedMode(n_max, omega), beta, t)
-    schedule = cutoff_schedule((lambda_m, lambda_n), omega, beta)
-    return converge(op, schedule, tol)
+        return numeric_s_free(lambda_m, lambda_n, n_max, beta, t)
+    return converge(op, cutoff_schedule((lambda_m, lambda_n), beta), tol)
 
 
-def converged_s_reversal(lambda_m, lambda_n, omega, beta, t_F, t_B, f_B,
+def converged_s_reversal(lambda_m, lambda_n, beta, t_F, t_B, f_B,
                          tol=1e-10):
     """numeric_s_reversal under the doubling cutoff rule."""
     def op(n_max):
-        return numeric_s_reversal(lambda_m, lambda_n,
-                                  TruncatedMode(n_max, omega), beta,
+        return numeric_s_reversal(lambda_m, lambda_n, n_max, beta,
                                   t_F, t_B, f_B)
-    schedule = cutoff_schedule((lambda_m, lambda_n), omega, beta)
-    return converge(op, schedule, tol)
+    return converge(op, cutoff_schedule((lambda_m, lambda_n), beta), tol)

@@ -157,14 +157,23 @@ def theory_curve(nu_hat_khz, v_s, n_pairs):
 
     tau_hat(nu) = (2/3) / phonon.decay_rate(nu, v_s, sigma_X) with
     sigma_X = sqrt(3 n^{2/3} / 2); strictly proportional to nu^-2.
-    Returns seconds.
+    Returns seconds; a time outside (0, inf) raises ValueError.
     """
     nus = list(nu_hat_khz)
     if any(nu_khz <= 0 for nu_khz in nus):
         raise ValueError("frequencies must be positive")
     sigma_x = sum_width(n_pairs ** (2.0 / 3.0))
-    return [(2.0 / 3.0) / phonon.decay_rate(nu_khz * 1e3, v_s, sigma_x)
-            for nu_khz in nus]
+    taus = []
+    for nu_khz in nus:
+        try:
+            tau = (2.0 / 3.0) / phonon.decay_rate(nu_khz * 1e3, v_s, sigma_x)
+        except (OverflowError, ZeroDivisionError):
+            tau = math.nan
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"theory decay time at nu_hat = {nu_khz:g} kHz "
+                             "is outside the float range")
+        taus.append(tau)
+    return taus
 
 
 @dataclass(frozen=True)
@@ -175,8 +184,10 @@ class ExperimentRecord:
     tau_exp: float
 
     def __post_init__(self):
-        if self.nu_hat_0 <= 0 or self.tau_exp <= 0:
-            raise ValueError("nu_hat_0 and tau_exp must be positive")
+        if not (0.0 < self.nu_hat_0 < math.inf
+                and 0.0 < self.tau_exp < math.inf):
+            raise ValueError("nu_hat_0 and tau_exp must be positive and "
+                             "finite")
 
 
 #: Fig-style envelope parameter sets (v_s m/s, pair count)

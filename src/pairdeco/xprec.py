@@ -1,13 +1,14 @@
 """Extended-precision (double-double) evaluation of the Fock traces.
 
-The float64 eigendecomposition route in ``fock`` carries an absolute
-error floor of roughly eps * ||H t|| ~ 1e-11 for the oracle-grid
-Hamiltonians.  Grid points whose decoherence function is smaller than
-~1e-3 therefore cannot be verified to 1e-8 *relative* in plain float64.
-This module reproduces the same truncated-Fock traces with ~1e-30
-arithmetic so the relative comparison stays meaningful down to
-|S| ~ 1e-16.  It works in omega = 1 units: times are omega*t and
-inverse temperatures beta*omega.
+This is the double-double form of the trace formula that ``fock``'s
+module docstring derives: the gauge-reduced real tridiagonals, their
+eigensystems, the overlaps V_a^T diag(c w) V_b and the phase sums.
+``fock`` evaluates it in float64, whose absolute error floor, about
+1e-15 on the oracle grid, leaves a 1e-8 *relative* comparison
+meaningless once |S| nears 1e-7.  Here the same traces carry ~1e-30
+arithmetic, so the comparison stays meaningful down to |S| ~ 1e-16.
+It works in omega = 1 units: times are omega*t and inverse
+temperatures beta*omega.
 
 Machinery, all in double-double (pairs of float64) arithmetic vectorized
 over numpy arrays: matrix products sliced into exact float64 products
@@ -429,14 +430,13 @@ def tridiag_residual(diag_dd, off_dd, eigvals, v):
 # ---------------------------------------------------------------------------
 
 def _mode_system(lam, f, n_max, eigensystems):
-    """Tridiagonal reduction of M + f*J and its dd eigensystem.
+    """The gauge-reduced tridiagonal of M + f*J and its dd eigensystem.
 
-    M + f*J has constant off-diagonal phase; the diagonal similarity
-    diag(u^j) with u = sign(f) conj(lam)/|lam|, the phase of (f*lam)*
-    for real f, makes it real symmetric with off-diagonal |f*lam|
-    sqrt(j); any unit u serves when f*lam = 0.  For real or imaginary
-    lam, |lam| and u are exact.  ``eigensystems`` keeps one eigensystem
-    per (n_max, |f*lam| hi, lo).  Returns (E dd, V dd, u complex dd).
+    The double-double form of ``fock._mode_systems``: u = sign(f)
+    conj(lam)/|lam|, off-diagonal |f*lam| sqrt(j).  For real or
+    imaginary lam, |lam| and u are exact.  ``eigensystems`` keeps one
+    eigensystem per (n_max, |f*lam| hi, lo).  Returns (E dd, V dd,
+    u complex dd).
     """
     sign = -1.0 if f < 0 else 1.0
     re, im = np.float64(sign * lam.real), np.float64(-sign * lam.imag)
@@ -447,13 +447,9 @@ def _mode_system(lam, f, n_max, eigensystems):
         u = dd_div(dd(re), abs_lam), dd_div(dd(im), abs_lam)
     key = (n_max, float(mag[0]), float(mag[1]))
     if key not in eigensystems:
-        diag_dd = dd(np.arange(n_max + 1, dtype=float))
-        if mag[0] == 0:
-            off_dd = dd(np.zeros(n_max))
-        else:
-            root = dd_sqrt(dd(np.arange(1, n_max + 1, dtype=float)))
-            off_dd = dd_mul(root, mag)
-        eigensystems[key] = tridiag_eigh_dd(diag_dd, off_dd)
+        root = dd_sqrt(dd(np.arange(1, n_max + 1, dtype=float)))
+        eigensystems[key] = tridiag_eigh_dd(
+            dd(np.arange(n_max + 1, dtype=float)), dd_mul(root, mag))
     eigvals, vectors = eigensystems[key]
     return eigvals, vectors, u
 
@@ -461,11 +457,9 @@ def _mode_system(lam, f, n_max, eigensystems):
 def _overlap(sys_a, sys_b, weights=None):
     """V_a^T diag(c) V_b with c_j = (u_a conj(u_b))^j, times weights_j.
 
-    ``sys_a`` and ``sys_b`` are _mode_system results.  With U_a = D_a^+
-    V_a, D_a = diag(u_a^j), this is the overlap of the two eigenbases
-    U_a^+ diag(weights) U_b in real-V form.  Returns (re, im) with im
-    None when every c_j is real, as for two systems of one lambda or of
-    collinear lambdas; then one dd_matmul forms it, else two.
+    The double-double form of ``fock._overlap``, for _mode_system
+    results.  Returns (re, im) with im None when every c_j is real;
+    then one dd_matmul forms it, else two.
     """
     (_, v_a, u_a), (_, v_b, u_b) = sys_a, sys_b
     ratio = cdd_mul(u_a, (u_b[0], dd_neg(u_b[1])))
@@ -510,10 +504,11 @@ def _bilinear(w, left, right):
 def s_free_x(lambda_m, lambda_n, beta, times, n_max, eigensystems=None):
     """Extended-precision Tr[exp(-iH_m t) Theta exp(+iH_n t)] per t in times.
 
-    Eigensystems and overlaps do not depend on t and are built once per
-    call; each time adds only its two phase vectors and the weighted
-    sum.  Calls at one cutoff that pass the same ``eigensystems`` dict
-    build each distinct tridiagonal once between them.
+    The double-double form of ``fock.numeric_s_free``.  Eigensystems
+    and overlaps do not depend on t and are built once per call; each
+    time adds only its two phase vectors and the weighted sum.  Calls
+    at one cutoff that pass the same ``eigensystems`` dict build each
+    distinct tridiagonal once between them.
     """
     if eigensystems is None:
         eigensystems = {}
@@ -531,22 +526,16 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
                  eigensystems=None):
     """Extended-precision five-factor reversal trace per (t_F, t_B) in times.
 
-    With D_i the phase diagonals and G the overlaps, the trace is
-    Tr(D1 G12 D2 G_theta D3 G34 D4 G41) = Tr(P Q), P = D2 (G_theta D3)
-    G34 and Q = D4 (G41 D1) G12.  G12 and G34 pair two systems of one
-    lambda and are real, so each time forms its two complex x real
+    The double-double form of ``fock.numeric_s_reversal``, Tr(P Q).  G12
+    and G34 are real, so each time forms its two complex x real
     products as four real dd matmuls.  The overlaps are built once per
     call; ``eigensystems`` is shared as in s_free_x.
     """
     if eigensystems is None:
         eigensystems = {}
     lm, ln = complex(lambda_m), complex(lambda_n)
-    systems = [
-        _mode_system(lm, f_B, n_max, eigensystems),  # 1: back, m
-        _mode_system(lm, 1.0, n_max, eigensystems),  # 2: fwd, m
-        _mode_system(ln, 1.0, n_max, eigensystems),  # 3: fwd, n
-        _mode_system(ln, f_B, n_max, eigensystems),  # 4: back, n
-    ]
+    systems = [_mode_system(lam, f, n_max, eigensystems)
+               for lam, f in ((lm, f_B), (lm, 1.0), (ln, 1.0), (ln, f_B))]
     g12, _ = _overlap(systems[0], systems[1])
     g_theta = _overlap(systems[1], systems[2], _thermal_weights(beta, n_max))
     g34, _ = _overlap(systems[2], systems[3])

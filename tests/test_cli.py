@@ -325,6 +325,19 @@ def test_compare_errors(tmp_path, capsys):
     bad.write_text("nu_hat_khz,tau_exp_us\n50.4,xyz\n")
     assert run(["compare", str(bad)]) == 1
     assert "line 2" in capsys.readouterr().err
+    out = tmp_path / "cmp.csv"
+    # non-finite records name their line; a theory time that underflows
+    # (1e-300 kHz) or overflows (1e300 kHz) is one error line
+    for row, message in (("1e-300,100", "1e-300 kHz"),
+                         ("1e300,100", "1e+300 kHz"),
+                         ("nan,100", "line 3"), ("50,inf", "line 3")):
+        data = tmp_path / "range.csv"
+        data.write_text(f"nu_hat_khz,tau_exp_us\n50.4,140\n{row}\n")
+        assert run(["compare", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert message in err
+        assert not out.exists()
 
 
 # SHA-256 of each golden invocation's output, which must be the same bytes

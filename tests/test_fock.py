@@ -7,102 +7,130 @@ from pairdeco import fock
 from pairdeco.decoherence import s_mn
 
 
-def test_truncated_mode_structure():
-    mode = fock.TruncatedMode(5, 2.0)
-    assert mode.lowering[0, 1] == 1.0
-    assert mode.lowering[4, 5] == pytest.approx(math.sqrt(5))
-    assert np.all(np.diag(mode.number) == np.arange(6))
-    # [b, b+] is the identity but for the truncation corner, -n_max
-    for n_max in (5, 700):
-        mode = fock.TruncatedMode(n_max, 1.0)
-        comm = mode.lowering @ mode.raising - mode.raising @ mode.lowering
-        expected = np.eye(n_max + 1, dtype=complex)
-        expected[-1, -1] = -n_max
-        assert np.allclose(comm, expected, rtol=0, atol=1e-12)
-    with pytest.raises(ValueError):
-        fock.TruncatedMode(0, 1.0)
-    with pytest.raises(ValueError):
-        fock.TruncatedMode(5, -1.0)
+def dense_hamiltonian(lam, n_max, f):
+    """M + f*J = diag(j) + f*(lam* b + lam b+) as a dense complex matrix."""
+    lam = complex(lam)
+    lowering = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
+    return (np.diag(np.arange(n_max + 1.0))
+            + f * (np.conj(lam) * lowering + lam * lowering.conj().T))
 
 
-def test_hamiltonian_hermitian():
-    mode = fock.TruncatedMode(8, 1.5)
-    h = mode.hamiltonian(0.3 - 0.4j, f=-0.5)
-    assert np.allclose(h, h.conj().T)
+def dense_propagator(lam, n_max, t, f=1.0):
+    """exp(-i (M + f J) t) by complex Hermitian eigendecomposition."""
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(lam, n_max, f))
+    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+
+
+def dense_theta(beta, n_max):
+    weights = np.exp(-beta * np.arange(n_max + 1))
+    return np.diag(weights / weights.sum())
+
+
+def dense_s_free(lm, ln, n_max, beta, t):
+    """The free trace from dense propagators: the reference for the gauge."""
+    return complex(np.trace(dense_propagator(lm, n_max, t)
+                            @ dense_theta(beta, n_max)
+                            @ dense_propagator(ln, n_max, -t)))
+
+
+def dense_s_reversal(lm, ln, n_max, beta, t_f, t_b, f_b):
+    left = dense_propagator(lm, n_max, t_b, f_b) @ dense_propagator(
+        lm, n_max, t_f)
+    right = dense_propagator(ln, n_max, -t_f) @ dense_propagator(
+        ln, n_max, -t_b, f_b)
+    return complex(np.trace(left @ dense_theta(beta, n_max) @ right))
+
+
+#: real, imaginary, equal-modulus, non-collinear complex and zero pairs
+GAUGE_PAIRS = [(0.3, -0.2), (0.5, -0.3), (0.2j, complex(0.0, -0.2)),
+               (0.3, -0.3), (0.3 - 0.4j, 0.5), (0.3 + 0.4j, -0.2j),
+               (0.0, 0.4), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("n_max", [40, 160])
+@pytest.mark.parametrize("lm, ln", GAUGE_PAIRS)
+def test_gauge_traces_equal_dense_traces(lm, ln, n_max):
+    beta = 1.0
+    for t in (0.0, 0.7, math.pi):
+        assert abs(fock.numeric_s_free(lm, ln, n_max, beta, t)
+                   - dense_s_free(lm, ln, n_max, beta, t)) <= 1e-12
+    for f_b in (1.0, -0.5):
+        for t_f, t_b in ((0.5, 1.0), (0.8, 0.0), (1.3, 2.6)):
+            gauge = fock.numeric_s_reversal(lm, ln, n_max, beta, t_f, t_b,
+                                            f_b)
+            dense = dense_s_reversal(lm, ln, n_max, beta, t_f, t_b, f_b)
+            assert abs(gauge - dense) <= 1e-12
 
 
 def test_thermal_state_basics():
-    mode = fock.TruncatedMode(40, 1.0)
-    theta = fock.thermal_state(mode, 1.0)
-    assert np.trace(theta).real == 1.0  # pinned exactly
-    assert np.all(np.diag(theta).real >= 0)
-    assert np.allclose(theta, np.diag(np.diag(theta)))
+    # the diagonal of Theta, which the traces carry as weights
+    w = fock._thermal_weights(1.0, 40)
+    assert w.sum() == 1.0  # pinned exactly
+    assert np.all(w >= 0)
+    for beta_w in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            fock._thermal_weights(beta_w, 10)
 
 
 def test_thermal_state_ground_limit():
-    mode = fock.TruncatedMode(10, 1.0)
-    theta = fock.thermal_state(mode, 50.0)
-    assert theta[0, 0].real >= 1.0 - 1e-20
+    assert fock._thermal_weights(50.0, 10)[0] >= 1.0 - 1e-20
 
 
 def test_thermal_state_occupation():
     beta_w = 0.1
-    mode = fock.TruncatedMode(600, 1.0)
-    theta = fock.thermal_state(mode, beta_w)
-    nbar = float(np.sum(np.diag(theta).real * np.arange(601)))
+    nbar = float(np.sum(fock._thermal_weights(beta_w, 600) * np.arange(601)))
     assert nbar == pytest.approx(1.0 / math.expm1(beta_w), abs=1e-6)
 
 
-def test_propagator_unitary():
-    mode = fock.TruncatedMode(30, 1.0)
-    u = fock._propagator(mode, 0.3 - 0.2j, 1.7)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(31))) < 1e-12
+def test_gauge_reduction_is_exact_similarity():
+    # D (M + f J) D^+ is the real tridiagonal the traces diagonalize
+    for lam, f in ((0.3 - 0.4j, -0.5), (0.2j, 1.0), (-0.3, -0.5)):
+        (e, v, u), = fock._mode_systems(((lam, f),), 30)
+        d = np.diag(u ** np.arange(31))
+        t = d @ dense_hamiltonian(lam, 30, f) @ d.conj().T
+        assert np.max(np.abs(t.imag)) <= 1e-15
+        assert np.max(np.abs(t.real @ v - v * e)) <= 1e-12
 
 
 def test_equal_lambda_pure_phase():
-    mode = fock.TruncatedMode(80, 1.0)
-    s = fock.numeric_s_free(0.3, 0.3, mode, 1.0, 2.0)
+    s = fock.numeric_s_free(0.3, 0.3, 80, 1.0, 2.0)
     assert abs(abs(s) - 1.0) < 1e-10
 
 
 def test_t_zero_returns_unit_trace():
-    mode = fock.TruncatedMode(60, 1.0)
-    s = fock.numeric_s_free(0.3, -0.2, mode, 1.0, 0.0)
+    s = fock.numeric_s_free(0.3, -0.2, 60, 1.0, 0.0)
     assert s == pytest.approx(1.0, abs=1e-12)
 
 
 def test_free_trace_matches_closed_form_easy_point():
-    s_num, n_used = fock.converged_s_free(0.3, -0.2j, 1.0, 1.0, 1.3)
+    s_num, n_used = fock.converged_s_free(0.3, -0.2j, 1.0, 1.3)
     s_cl = s_mn([(1.0, 0.3, -0.2j)], 1.0, 1.3)
     assert abs(s_num - s_cl) / abs(s_cl) < 1e-9
     assert n_used >= 2
 
 
 def test_reversal_tb_zero_equals_free():
-    mode = fock.TruncatedMode(70, 1.0)
-    r = fock.numeric_s_reversal(0.3, 0.5, mode, 1.0, 0.8, 0.0, -0.5)
-    f = fock.numeric_s_free(0.3, 0.5, mode, 1.0, 0.8)
+    r = fock.numeric_s_reversal(0.3, 0.5, 70, 1.0, 0.8, 0.0, -0.5)
+    f = fock.numeric_s_free(0.3, 0.5, 70, 1.0, 0.8)
     assert abs(r - f) < 1e-12
 
 
 def test_reversal_f1_additivity():
-    mode = fock.TruncatedMode(70, 1.0)
-    r = fock.numeric_s_reversal(0.3, 0.5, mode, 1.0, 0.4, 0.9, 1.0)
-    f = fock.numeric_s_free(0.3, 0.5, mode, 1.0, 1.3)
+    r = fock.numeric_s_reversal(0.3, 0.5, 70, 1.0, 0.4, 0.9, 1.0)
+    f = fock.numeric_s_free(0.3, 0.5, 70, 1.0, 1.3)
     assert abs(r - f) < 1e-12
 
 
 def test_displaced_identity_residual():
-    mode = fock.TruncatedMode(50, 1.0)
     # lambda = 0: pure matrix-product roundoff (sqrt(n)^2 vs n)
-    assert fock.displaced_identity_residual(0.0, mode) <= 1e-13
-    assert fock.displaced_identity_residual(0.4, mode, 1.0) <= 1e-12
-    assert fock.displaced_identity_residual(0.3 - 0.2j, mode, -0.5) <= 1e-12
+    assert fock.displaced_identity_residual(0.0, 50, 1.0) <= 1e-13
+    assert fock.displaced_identity_residual(0.4, 50, 1.0) <= 1e-12
+    assert fock.displaced_identity_residual(0.3 - 0.2j, 50, -0.5) <= 1e-12
 
 
 def test_cutoff_schedule_monotone_in_temperature():
-    hot = fock.cutoff_schedule((0.3,), 1.0, 0.05)
-    cold = fock.cutoff_schedule((0.3,), 1.0, 5.0)
+    hot = fock.cutoff_schedule((0.3,), 0.05)
+    cold = fock.cutoff_schedule((0.3,), 5.0)
     assert hot[0] > cold[0]
     assert hot[1] == 2 * hot[0]
 

@@ -379,7 +379,7 @@ def test_extended_group_rejects_cutoff_past_gate(monkeypatch):
 
 def test_s_free_x_matches_float64_easy_point():
     lm, ln, beta, t = 0.3, -0.2j, 1.0, 0.5
-    s64, _ = fock.converged_s_free(lm, ln, 1.0, beta, t)
+    s64, _ = fock.converged_s_free(lm, ln, beta, t)
     sx, = xp.s_free_x(lm, ln, beta, [t],
                       xp.tail_bound_n_max(beta, (lm, ln), 1e-20))
     assert abs(sx - s64) < 5e-10
@@ -456,7 +456,7 @@ def test_shared_lambda_overlaps_are_real():
 def test_s_reversal_x_non_collinear_complex_pair():
     lm, ln, beta, t_f, t_b = 0.3 + 0.4j, -0.2j, 1.0, 0.5, 1.0
     n = xp.tail_bound_n_max(beta, (lm, ln), 1e-20)
-    s64, _ = fock.converged_s_reversal(lm, ln, 1.0, beta, t_f, t_b, -0.5)
+    s64, _ = fock.converged_s_reversal(lm, ln, beta, t_f, t_b, -0.5)
     sx, = xp.s_reversal_x(lm, ln, beta, [(t_f, t_b)], -0.5, n)
     assert abs(sx - s64) < 5e-10
     r, = xp.s_reversal_x(lm, ln, beta, [(t_f, t_b)], 1.0, n)
