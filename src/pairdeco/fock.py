@@ -72,7 +72,7 @@ def _overlap(sys_a, sys_b, weights):
     """V_a^T diag(c w) V_b with c_j = (u_a conj(u_b))^j; w is 1 or a vector."""
     (_, v_a, u_a), (_, v_b, u_b) = sys_a, sys_b
     ratio = complex(u_a * np.conj(u_b))
-    ratio /= abs(ratio)
+    ratio /= abs(ratio)  # a unit to the last bit, so |c_j| does not drift
     c = _powers(ratio.real if ratio.imag == 0 else ratio, v_a.shape[0])
     return v_a.T @ ((c * weights)[:, None] * v_b)
 
