@@ -40,7 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value):
-    return "{:.17g}".format(float(value))
+    # + 0.0 turns -0.0 (nu0 at the magic angle) into 0
+    return "{:.17g}".format(float(value) + 0.0)
 
 
 def _load_config(path):

@@ -3,7 +3,9 @@
 The independent numerical check of the closed forms: the traces over
 the levels j <= n_max, with no coherent-state algebra anywhere, in
 omega = 1 units (times omega*t, inverse temperatures beta*omega).
-``xprec`` evaluates the same formula in double-double:
+Both precisions truncate at the cutoff ``tail_bound_n_max`` gives for
+an absolute error target; ``xprec`` evaluates the same formula in
+double-double:
 
 * M + f*J, J = lam* b + lam b+, has diagonal j and off-diagonal
   f*lam* sqrt(j) above it.  With D = diag(u^j), u = sign(f)
@@ -23,16 +25,11 @@ omega = 1 units (times omega*t, inverse temperatures beta*omega).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-
-class ConvergenceError(RuntimeError):
-    """Cutoff doubling exhausted before the trace settled."""
-
-    def __init__(self, message, last=None, previous=None):
-        super().__init__(message)
-        self.last = last
-        self.previous = previous
+from .core import ConfigError
 
 
 def _thermal_weights(beta, n_max):
@@ -127,51 +124,35 @@ def displaced_identity_residual(lam, n_max, f):
     return float(np.max(np.abs((lhs - rhs)[:-1, :-1])))
 
 
-def cutoff_schedule(lambdas, beta):
-    """Six doubling n_max steps from the occupation-based cutoff rule.
+def tail_bound_n_max(beta, lambdas, target_abs):
+    """Fock cutoff whose truncation error is below target_abs.
 
-    n_max_initial = ceil(10*nbar + 4*max|lam|^2 + 20): the thermal tail
-    and the coherent displacement both inflate the occupied levels.
+    The trace mass beyond level n is below ~2 q^(n+1)/(1-q)^2, q =
+    exp(-beta), in either precision; 4 max|lam|^2 + 20 more levels cover
+    the coherent displacement.  A cutoff above 700, the largest the
+    traces are tested at, raises ConfigError naming it, so no trace is
+    built at it.
     """
-    nbar = 1.0 / np.expm1(beta)
+    q = math.exp(-beta)
+    c = 2.0 / (1.0 - q) ** 2
+    # log(c) - log(target) stays finite where c/target overflows
+    n_tail = (math.log(c) - math.log(target_abs)) / beta
     disp = max((abs(complex(l)) ** 2 for l in lambdas), default=0.0)
-    n0 = int(np.ceil(10.0 * nbar + 4.0 * disp + 20.0))
-    return [n0 * 2**i for i in range(6)]
+    n_max = int(math.ceil(n_tail + 4.0 * disp + 20.0))
+    if n_max > 700:
+        raise ConfigError(f"truncation target {target_abs:.3g} needs a Fock "
+                          f"cutoff of {n_max}, above the limit of 700")
+    return n_max
 
 
-def converge(op, schedule, tol):
-    """First value along the schedule whose successor moves < tol.
-
-    ``op`` maps n_max to a complex trace.  Returns (value, n_used) where
-    the value is the successor (the better of the two estimates).  When
-    the schedule runs out, ConvergenceError carries its final two
-    estimates as ``last`` and ``previous``.
-    """
-    schedule = list(schedule)
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    last, previous = op(schedule[0]), None
-    for n in schedule[1:]:
-        last, previous = op(n), last
-        if abs(last - previous) < tol:
-            return last, n
-    raise ConvergenceError(
-        f"trace not converged to {tol} within schedule {schedule}",
-        last=last, previous=previous,
-    )
+def converged_s_free(lambda_m, lambda_n, beta, t, tol):
+    """(numeric_s_free, n_max) at the cutoff that truncates below tol."""
+    n_max = tail_bound_n_max(beta, (lambda_m, lambda_n), tol)
+    return numeric_s_free(lambda_m, lambda_n, n_max, beta, t), n_max
 
 
-def converged_s_free(lambda_m, lambda_n, beta, t, tol=1e-10):
-    """numeric_s_free under the doubling cutoff rule."""
-    def op(n_max):
-        return numeric_s_free(lambda_m, lambda_n, n_max, beta, t)
-    return converge(op, cutoff_schedule((lambda_m, lambda_n), beta), tol)
-
-
-def converged_s_reversal(lambda_m, lambda_n, beta, t_F, t_B, f_B,
-                         tol=1e-10):
-    """numeric_s_reversal under the doubling cutoff rule."""
-    def op(n_max):
-        return numeric_s_reversal(lambda_m, lambda_n, n_max, beta,
-                                  t_F, t_B, f_B)
-    return converge(op, cutoff_schedule((lambda_m, lambda_n), beta), tol)
+def converged_s_reversal(lambda_m, lambda_n, beta, t_F, t_B, f_B, tol):
+    """(numeric_s_reversal, n_max) at the cutoff that truncates below tol."""
+    n_max = tail_bound_n_max(beta, (lambda_m, lambda_n), tol)
+    return (numeric_s_reversal(lambda_m, lambda_n, n_max, beta, t_F, t_B,
+                               f_B), n_max)

@@ -167,7 +167,7 @@ def theory_curve(nu_hat_khz, v_s, n_pairs):
     for nu_khz in nus:
         try:
             tau = (2.0 / 3.0) / phonon.decay_rate(nu_khz * 1e3, v_s, sigma_x)
-        except (OverflowError, ZeroDivisionError):
+        except ArithmeticError:  # overflow, zero or subnormal rate
             tau = math.nan
         if not 0.0 < tau < math.inf:
             raise ValueError(f"theory decay time at nu_hat = {nu_khz:g} kHz "

@@ -9,10 +9,11 @@ JSON reporting:
   enumeration, exact moments, central-limit diagnostics.
 * ksum: discrete mode sums against the continuum kernels.
 
-Strong-decoherence grid points (|S| below ``EXTENDED_THRESHOLD``) are
-re-evaluated with the double-double trace engine: the float64 path
-settles to 1e-10 absolute, and its error floor of about 1e-15 would
-swamp the relative comparison further down.
+Every grid point's trace runs at the cutoff ``fock.tail_bound_n_max``
+gives for a truncation error of 0.25 tol |S|.  Strong-decoherence
+points (|S| below ``EXTENDED_THRESHOLD``) run on the double-double
+engine, where the float64 error floor, about 1e-15 absolute, would
+swamp the relative comparison.
 """
 
 from __future__ import annotations
@@ -26,15 +27,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import eigdist, fock, phonon, xprec
-from .core import ConfigError, gypsum_config
+from .core import gypsum_config
 from .decoherence import s_mn
 from .magicecho import ideal_echo_schedule, reversal_exponent_k
 
-#: below this |S| the float64 traces' 1e-10 absolute step exceeds 1e-8 rel
-EXTENDED_THRESHOLD = 1e-2
-
-#: largest Fock cutoff the double-double engine is run at
-MAX_EXTENDED_N = 700
+#: float64 traces err by <= 1.3e-15 absolute on the grid: <= 1.3e-11
+#: relative at |S| = 1e-4, 1/770 of the 1e-8 gate
+EXTENDED_THRESHOLD = 1e-4
 
 #: documented verification grid (omega = 1 units); -0.2j has real part -0.0
 GRID_LAMBDAS = (0.3, -0.3, 0.2j, complex(0.0, -0.2), 0.5)
@@ -70,17 +69,12 @@ def _extended_group(checks, pending, lm, ln, beta, tol):
     ``pending`` holds (slot, kind, inputs, closed, timing) per point;
     each record lands in ``checks[slot]``.  The whole group runs at one
     cutoff, the largest any of its points needs, and its free and
-    reversal traces share one set of eigensystems.  A tolerance whose
-    cutoff passes MAX_EXTENDED_N is a ConfigError, raised before any
-    eigensystem is built.
+    reversal traces share one set of eigensystems.  A cutoff past the
+    limit raises ConfigError before any eigensystem is built.
     """
-    n_max = max(xprec.tail_bound_n_max(beta, (lm, ln),
-                                       0.25 * tol * abs(closed))
+    n_max = max(fock.tail_bound_n_max(beta, (lm, ln),
+                                      0.25 * tol * abs(closed))
                 for _, _, _, closed, _ in pending)
-    if n_max > MAX_EXTENDED_N:
-        raise ConfigError(
-            f"tol {tol:g} needs a Fock cutoff of {n_max}, above the "
-            f"limit of {MAX_EXTENDED_N}")
     eigensystems = {}
     free = [p for p in pending if p[1] == "free"]
     reversal = [p for p in pending if p[1] == "reversal"]
@@ -108,13 +102,13 @@ def fock_suite(tol=1e-8, quick=False):
     Unordered lambda pairs suffice: the conjugate-swap symmetry is
     asserted separately.
 
-    A point whose closed form has modulus at least EXTENDED_THRESHOLD
-    runs the float64 trace under its doubling cutoff rule, and its
-    record's ``n_max`` is the cutoff the trace settled at.  The other
-    points are grouped by (lambda_m, lambda_n, beta) and each group runs
-    on the double-double engine at one cutoff: the largest thermal-tail
-    cutoff any of its points needs (a larger cutoff only shrinks the
-    truncation error).  Their records' ``n_max`` is that group cutoff.
+    Every trace runs at a thermal-tail cutoff with truncation error
+    below 0.25 tol |closed|.  A point whose closed form has modulus at
+    least EXTENDED_THRESHOLD runs the float64 trace at its own cutoff.
+    The other points are grouped by (lambda_m, lambda_n, beta) and each
+    group runs on the double-double engine at one cutoff: the largest
+    any of its points needs (a larger cutoff only shrinks the truncation
+    error).  Each record's ``n_max`` is the cutoff its trace ran at.
     Records keep grid order: per time, the free point then the reversal.
     Each group ends with one progress line on stderr: its index, its
     methods, its largest ``n_max`` and its seconds.
@@ -144,11 +138,14 @@ def fock_suite(tol=1e-8, quick=False):
                                     timing))
                     checks.append(None)
                     continue
+                target = 0.25 * tol * abs(closed)
                 if kind == "free":
-                    numeric, n_used = fock.converged_s_free(lm, ln, beta, t)
+                    numeric, n_used = fock.converged_s_free(
+                        lm, ln, beta, t, target)
                 else:
                     numeric, n_used = fock.converged_s_reversal(
-                        lm, ln, beta, sched.t_F, sched.t_B, sched.f_B)
+                        lm, ln, beta, sched.t_F, sched.t_B, sched.f_B,
+                        target)
                 checks.append(_point_record(kind, inputs, closed, numeric,
                                             n_used, "float64", tol))
         if pending:
@@ -169,7 +166,8 @@ def fock_structure_checks():
     checks = []
     beta = 1.0
     lambdas = (0.3, complex(0.0, -0.2), 0.5)
-    n_max = fock.cutoff_schedule(lambdas, beta)[1]
+    # the identities hold at any cutoff
+    n_max = fock.tail_bound_n_max(beta, lambdas, 1e-12)
 
     def record(name, value, bound):
         checks.append({"kind": name, "value": float(value),

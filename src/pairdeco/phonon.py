@@ -10,6 +10,7 @@ live here too.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -184,10 +185,16 @@ def decay_time(nu_d, sigma):
 def decay_rate(nu_hat, v_s, sigma):
     """1/tau_X from the observable frequency nu_hat = 3|nu0|, 1/s.
 
-    sqrt(2) pi^2 nu_hat^2 hbar sigma/(v_s^2 m_p)
+    sqrt(2) pi^2 nu_hat^2 hbar sigma/(v_s^2 m_p).  A subnormal
+    sqrt(2) pi^2 nu_hat^2 hbar, v_s^2 m_p or rate has lost digits to
+    underflow and raises FloatingPointError.
     """
-    return (math.sqrt(2.0) * math.pi**2 * nu_hat**2 * HBAR * sigma
-            / (v_s**2 * M_P))
+    head = math.sqrt(2.0) * math.pi**2 * nu_hat**2 * HBAR
+    inertia = v_s**2 * M_P
+    rate = head * sigma / inertia
+    if any(0.0 < abs(x) < sys.float_info.min for x in (head, inertia, rate)):
+        raise FloatingPointError("decay rate underflows to a subnormal")
+    return rate
 
 
 def rate_constants(cfg):

@@ -2,11 +2,12 @@
 
 This is the double-double form of the trace formula that ``fock``'s
 module docstring derives: the gauge-reduced real tridiagonals, their
-eigensystems, the overlaps V_a^T diag(c w) V_b and the phase sums.
-``fock`` evaluates it in float64, whose absolute error floor, about
-1e-15 on the oracle grid, leaves a 1e-8 *relative* comparison
-meaningless once |S| nears 1e-7.  Here the same traces carry ~1e-30
-arithmetic, so the comparison stays meaningful down to |S| ~ 1e-16.
+eigensystems, the overlaps V_a^T diag(c w) V_b and the phase sums, at
+the cutoff ``fock.tail_bound_n_max`` gives.  ``fock`` evaluates it in
+float64, whose absolute error floor, about 1e-15 on the oracle grid,
+leaves a 1e-8 *relative* comparison meaningless once |S| nears 1e-7.
+Here the same traces carry ~1e-30 arithmetic, so the comparison stays
+meaningful down to |S| ~ 1e-16.
 It works in omega = 1 units: times are omega*t and inverse
 temperatures beta*omega.
 
@@ -479,20 +480,6 @@ def _thermal_weights(beta, n_max):
     q = dd_div(dd(1.0), _exp(beta))
     w = _powers((q, None), n_max + 1)[0]
     return dd_div(w, dd_sum(w, axis=0))
-
-
-def tail_bound_n_max(beta, lambdas, target_abs):
-    """Truncation level with thermal-tail trace error below target_abs.
-
-    The neglected trace mass beyond n is below ~2 q^(n+1)/(1-q)^2, q =
-    exp(-beta); a displacement margin mirrors the float64 cutoff rule.
-    """
-    q = math.exp(-beta)
-    c = 2.0 / (1.0 - q) ** 2
-    # log(c) - log(target) stays finite where c/target overflows
-    n_tail = (math.log(c) - math.log(target_abs)) / beta
-    disp = max((abs(complex(l)) ** 2 for l in lambdas), default=0.0)
-    return int(math.ceil(n_tail + 4.0 * disp + 20.0))
 
 
 def _bilinear(w, left, right):

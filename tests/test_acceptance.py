@@ -77,8 +77,8 @@ def test_criterion_05_fock_oracle_equivalence():
 
     Free and reversal (f_B = -1/2, t_B = 2 t_F) decoherence functions
     over the documented lambda/beta/time grid; strongly decohered
-    points run on the double-double engine.  Runtime under half a
-    minute (20 s on a 2-CPU machine).
+    points run on the double-double engine.  Runtime about 10 s on a
+    2-CPU machine.
     """
     report = oracles.fock_suite(tol=1e-8)
     bad = [c for c in report["checks"] if not c["passed"]]

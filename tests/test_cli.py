@@ -46,11 +46,18 @@ def test_constants_from_config_file(tmp_path, capsys):
 
 
 def test_constants_magic_angle_inf(tmp_path, capsys):
+    # the exact limit: Omega0 = 0 makes every decay time infinite
     path = tmp_path / "magic.cfg"
     path.write_text(MAGIC_CONFIG)
     assert run(["constants", "--config", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "tau_X_s,inf" in out
+    rows = capsys.readouterr().out.splitlines()
+    assert "tau_X_s,inf" in rows
+    assert "nu0_Hz,0" in rows  # not -0
+    assert run(["sweep", "--config", str(path), "--n-grid", "1e20:1e23:2",
+                "--vs-grid", "4000:5000:2"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 5
+    assert all(row.endswith(",inf") for row in rows[1:])
 
 
 def test_missing_config_is_usage_error(capsys):
@@ -257,11 +264,25 @@ def test_oracle_quick_and_exit_codes(tmp_path):
     assert run(["oracle", "ksum", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["failures"] == 0
-    # a tolerance no float64 trace can meet must fail with exit code 2
-    assert run(["oracle", "fock", "--quick", "--tol", "1e-300",
+    # a tolerance below the float64 floor must fail with exit code 2
+    assert run(["oracle", "fock", "--quick", "--tol", "1e-16",
                 "--out", str(out)]) == 2
     payload = json.loads(out.read_text())
     assert payload["failures"] > 0
+
+
+def test_oracle_cutoff_past_limit_is_config_error(tmp_path, capsys,
+                                                  monkeypatch):
+    for name in ("numeric_s_free", "numeric_s_reversal"):
+        monkeypatch.setattr(cli.oracles.fock, name,
+                            lambda *_: pytest.fail("trace built"))
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "fock", "--quick", "--tol", "1e-300",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cutoff of" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_oracle_fock_progress_on_stderr(tmp_path, capsys):
@@ -327,9 +348,13 @@ def test_compare_errors(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
     out = tmp_path / "cmp.csv"
     # non-finite records name their line; a theory time that underflows
-    # (1e-300 kHz) or overflows (1e300 kHz) is one error line
+    # (1e-300 kHz), overflows (1e300 kHz) or loses digits to a subnormal
+    # rate (1e-145 to 1e-148 kHz) is one error line
     for row, message in (("1e-300,100", "1e-300 kHz"),
                          ("1e300,100", "1e+300 kHz"),
+                         ("1e-145,100", "1e-145 kHz"),
+                         ("1e-147,100", "1e-147 kHz"),
+                         ("1e-148,100", "1e-148 kHz"),
                          ("nan,100", "line 3"), ("50,inf", "line 3")):
         data = tmp_path / "range.csv"
         data.write_text(f"nu_hat_khz,tau_exp_us\n50.4,140\n{row}\n")
@@ -338,6 +363,14 @@ def test_compare_errors(tmp_path, capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert message in err
         assert not out.exists()
+    # v_s^2 m_p is subnormal at v_s = 1e-145 m/s
+    slow = tmp_path / "slow.cfg"
+    slow.write_text(GOOD_CONFIG.replace("4570", "1e-145"))
+    data.write_text("nu_hat_khz,tau_exp_us\n50.4,140\n")
+    assert run(["compare", str(data), "--config", str(slow),
+                "--out", str(out)]) == 1
+    assert "50.4 kHz" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # SHA-256 of each golden invocation's output, which must be the same bytes

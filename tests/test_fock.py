@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pairdeco import fock
+from pairdeco.core import ConfigError
 from pairdeco.decoherence import s_mn
 
 
@@ -103,8 +104,9 @@ def test_t_zero_returns_unit_trace():
 
 
 def test_free_trace_matches_closed_form_easy_point():
-    s_num, n_used = fock.converged_s_free(0.3, -0.2j, 1.0, 1.3)
     s_cl = s_mn([(1.0, 0.3, -0.2j)], 1.0, 1.3)
+    s_num, n_used = fock.converged_s_free(0.3, -0.2j, 1.0, 1.3,
+                                          0.25e-9 * abs(s_cl))
     assert abs(s_num - s_cl) / abs(s_cl) < 1e-9
     assert n_used >= 2
 
@@ -128,23 +130,12 @@ def test_displaced_identity_residual():
     assert fock.displaced_identity_residual(0.3 - 0.2j, 50, -0.5) <= 1e-12
 
 
-def test_cutoff_schedule_monotone_in_temperature():
-    hot = fock.cutoff_schedule((0.3,), 0.05)
-    cold = fock.cutoff_schedule((0.3,), 5.0)
-    assert hot[0] > cold[0]
-    assert hot[1] == 2 * hot[0]
-
-
-def test_converge_exhaustion():
-    with pytest.raises(fock.ConvergenceError) as info:
-        fock.converge(lambda n: complex(n), [2, 4, 8], 0.0)
-    assert info.value.last == 8.0
-    assert info.value.previous == 4.0
-    with pytest.raises(ValueError):
-        fock.converge(lambda n: 1.0 + 0j, [], 1e-10)
-
-
-def test_converge_returns_first_settled():
-    value, n_used = fock.converge(lambda n: 1.0 + 0j, [4, 8, 16], 1e-10)
-    assert value == 1.0
-    assert n_used == 8
+def test_tail_bound_n_max():
+    n_hot = fock.tail_bound_n_max(0.1, (0.5,), 1e-20)
+    n_cold = fock.tail_bound_n_max(5.0, (0.5,), 1e-20)
+    assert n_hot > n_cold
+    assert n_cold >= 20
+    # 0.25 * tol * |S| at tol = 1e-300 is subnormal: c/target overflows,
+    # its logarithm does not, and the cutoff it names is past the limit
+    with pytest.raises(ConfigError, match="cutoff of 7267"):
+        fock.tail_bound_n_max(0.1, (-0.3, 0.5), 0.25 * 1e-300 * 1.9e-12)

@@ -86,9 +86,6 @@ def test_package_namespace_holds_only_the_version():
 
 #: defaulted parameters no call in src/ passes, each with the reason
 ALLOWED_DEFAULTS = {
-    # ROADMAP item 4 gives the float64 convergence test per-point values
-    "converged_s_free.tol": "fock, per-point tolerance to come",
-    "converged_s_reversal.tol": "fock, per-point tolerance to come",
     "main.argv": "cli, the console entry passes none",
     # cmd_evolve calls both through its local name ``evolve``
     "free_sigma.exact_path": "phonon, passed as evolve(exact_path=...)",

@@ -356,17 +356,6 @@ def test_tridiag_eigh_dd_rejects_close_eigenvalues():
         xp.tridiag_eigh_dd(diag, off)
 
 
-def test_tail_bound_n_max():
-    n_hot = xp.tail_bound_n_max(0.1, (0.5,), 1e-20)
-    n_cold = xp.tail_bound_n_max(5.0, (0.5,), 1e-20)
-    assert n_hot > n_cold
-    assert n_cold >= 20
-    # 0.25 * tol * |S| at tol = 1e-300 is subnormal: c/target overflows,
-    # its logarithm does not
-    assert xp.tail_bound_n_max(0.1, (-0.3, 0.5),
-                               0.25 * 1e-300 * 1.9e-12) == 7267
-
-
 def test_extended_group_rejects_cutoff_past_gate(monkeypatch):
     monkeypatch.setattr(xp, "tridiag_eigh_dd",
                         lambda *_: pytest.fail("eigensystem built"))
@@ -379,9 +368,9 @@ def test_extended_group_rejects_cutoff_past_gate(monkeypatch):
 
 def test_s_free_x_matches_float64_easy_point():
     lm, ln, beta, t = 0.3, -0.2j, 1.0, 0.5
-    s64, _ = fock.converged_s_free(lm, ln, beta, t)
+    s64, _ = fock.converged_s_free(lm, ln, beta, t, 1e-12)
     sx, = xp.s_free_x(lm, ln, beta, [t],
-                      xp.tail_bound_n_max(beta, (lm, ln), 1e-20))
+                      fock.tail_bound_n_max(beta, (lm, ln), 1e-20))
     assert abs(sx - s64) < 5e-10
 
 
@@ -389,7 +378,7 @@ def test_s_free_x_matches_closed_form_hard_point():
     # strong decoherence: |S| ~ 7e-12, far below the float64 trace floor
     lm, ln, beta, t = 0.5, -0.3, 0.1, math.pi
     closed = s_mn([(1.0, lm, ln)], beta, t)
-    n = xp.tail_bound_n_max(beta, (lm, ln), 0.25e-8 * abs(closed))
+    n = fock.tail_bound_n_max(beta, (lm, ln), 0.25e-8 * abs(closed))
     sx, = xp.s_free_x(lm, ln, beta, [t], n)
     assert abs(sx - closed) / abs(closed) < 1e-10
 
@@ -399,14 +388,14 @@ def test_s_reversal_x_matches_closed_form_hard_point():
     t_f = math.pi
     sched = ReversalSchedule(t_F=t_f, t_B=2 * t_f, f_B=-0.5)
     closed = reversal_exponent_k(lm, ln, 1.0, beta, sched).s_value()
-    n = xp.tail_bound_n_max(beta, (lm, ln), 0.25e-8 * abs(closed))
+    n = fock.tail_bound_n_max(beta, (lm, ln), 0.25e-8 * abs(closed))
     sx, = xp.s_reversal_x(lm, ln, beta, [(t_f, 2 * t_f)], -0.5, n)
     assert abs(sx - closed) / abs(closed) < 1e-10
 
 
 def test_s_reversal_x_f1_additivity():
     lm, ln, beta = 0.3, -0.2j, 1.0
-    n = xp.tail_bound_n_max(beta, (lm, ln), 1e-20)
+    n = fock.tail_bound_n_max(beta, (lm, ln), 1e-20)
     r, = xp.s_reversal_x(lm, ln, beta, [(0.5, 1.0)], 1.0, n)
     f, = xp.s_free_x(lm, ln, beta, [1.5], n)
     assert abs(r - f) < 1e-25
@@ -455,8 +444,9 @@ def test_shared_lambda_overlaps_are_real():
 
 def test_s_reversal_x_non_collinear_complex_pair():
     lm, ln, beta, t_f, t_b = 0.3 + 0.4j, -0.2j, 1.0, 0.5, 1.0
-    n = xp.tail_bound_n_max(beta, (lm, ln), 1e-20)
-    s64, _ = fock.converged_s_reversal(lm, ln, beta, t_f, t_b, -0.5)
+    n = fock.tail_bound_n_max(beta, (lm, ln), 1e-20)
+    s64, _ = fock.converged_s_reversal(lm, ln, beta, t_f, t_b, -0.5,
+                                       1e-12)
     sx, = xp.s_reversal_x(lm, ln, beta, [(t_f, t_b)], -0.5, n)
     assert abs(sx - s64) < 5e-10
     r, = xp.s_reversal_x(lm, ln, beta, [(t_f, t_b)], 1.0, n)
