@@ -24,8 +24,6 @@ _LEVEL_TAGS = ("Tp", "T0", "Tm", "S")
 #: rows evolve computes per call; it bounds the (rows, 4, 4) arrays, so
 #: peak memory does not grow with the length of the grid
 _EVOLVE_BLOCK_ROWS = 128
-#: one evolve row, t then re and im of each element, as csv.writer emits it
-_EVOLVE_ROW = ",".join(["%.17g"] * 33) + "\r\n"
 
 
 class _UsageError(Exception):
@@ -42,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value):
     # + 0.0 turns -0.0 (nu0 at the magic angle) into 0
     return "{:.17g}".format(float(value) + 0.0)
+
+
+def _format_rows(rows):
+    """CSV lines of a 2-D float64 block, each value as %.17g; a column whose
+    bits are the same on every row (-0.0 is not 0.0) is formatted once."""
+    bits = rows.view(np.int64)
+    same = (bits == bits[0]).all(axis=0)
+    template = ",".join("%.17g" % value if fixed else "%.17g"
+                        for value, fixed in zip(rows[0].tolist(), same))
+    template += "\r\n"
+    return "".join(template % tuple(row) for row in rows[:, ~same].tolist())
 
 
 def _load_config(path):
@@ -141,8 +150,8 @@ def cmd_evolve(args):
         times = t_grid[start:start + _EVOLVE_BLOCK_ROWS]
         sigma = evolve(cfg, sigma0, times, exact_path=args.exact_path)
         parts = np.stack([sigma.real, sigma.imag], axis=-1)
-        rows = np.column_stack([times, parts.reshape(len(times), 32)])
-        return "".join(_EVOLVE_ROW % tuple(row) for row in rows.tolist())
+        return _format_rows(
+            np.column_stack([times, parts.reshape(len(times), 32)]))
 
     # the first block raises any ConfigError before a byte is written
     first = block(0)
@@ -159,16 +168,31 @@ def cmd_sweep(args):
     cfg = _load_config(args.config)
     n_grid = _parse_grid(args.n_grid)
     vs_grid = _parse_grid(args.vs_grid)
+
+    def rates(n, vs):
+        return phonon.rate_constants(gypsum_config(
+            d=cfg.d, a=cfg.a, T=cfg.T, theta=cfg.theta, N=float(n),
+            v_s=float(vs)))
+    # tau_X = decay_time(nu_D(v_s), sigma_X(N)): each axis value gets its
+    # checks at one cell of its row or column, the first row first
+    nu_d = [rates(n_grid[0], vs).nuD for vs in vs_grid]
+    sigma_x = [rates(n, vs_grid[0]).sigma_X for n in n_grid]
+    magic = nu_d[0] == 0.0  # Omega0 = 0: every tau_X is inf
+    tau = (lambda nu, sigma: math.inf) if magic else phonon.decay_time
+    try:  # rounding is monotone, so two corners bound every cell
+        in_range = magic or all(0.0 < tau(f(nu_d), f(sigma_x)) < math.inf
+                                for f in (min, max))
+    except ZeroDivisionError:
+        in_range = False
+    if not in_range:
+        raise ConfigError("rate constants outside the float range")
+    cells = [(_fmt(vs), nu) for vs, nu in zip(vs_grid, nu_d)]
     with _output(args.out) as out:
-        writer = csv.writer(out)
-        writer.writerow(["N", "v_s_mps", "tau_X_s"])
-        for n in n_grid:
-            for vs in vs_grid:
-                sub = gypsum_config(d=cfg.d, a=cfg.a, T=cfg.T,
-                                    theta=cfg.theta, N=float(n),
-                                    v_s=float(vs))
-                rates = phonon.rate_constants(sub)
-                writer.writerow([_fmt(n), _fmt(vs), _fmt(rates.tau_X)])
+        out.write("N,v_s_mps,tau_X_s\r\n")
+        for n, sigma in zip(n_grid, sigma_x):
+            row = _fmt(n)
+            out.write("".join(f"{row},{vs},{_fmt(tau(nu, sigma))}\r\n"
+                              for vs, nu in cells))
     return 0
 
 
@@ -178,8 +202,11 @@ def cmd_oracle(args):
         raise _UsageError(f"--tol must be finite and > 0, got {tol!r}")
     # open the file first: a bad --out fails before minutes of traces
     with _output(args.out) as out:
-        reports = oracles.run_suites(which=args.which, tol=tol,
-                                     quick=args.quick)
+        try:
+            reports = oracles.run_suites(which=args.which, tol=tol,
+                                         quick=args.quick)
+        except ConfigError as exc:  # a Fock cutoff that --tol sets
+            raise ConfigError(f"--tol {tol!r}: {exc}") from None
         payload = {"reports": reports,
                    "failures": sum(r["failures"] for r in reports)}
         json.dump(payload, out, indent=2, sort_keys=True)

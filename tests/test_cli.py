@@ -81,11 +81,25 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: rate constants outside")
             assert len(err.splitlines()) == 1
-    assert run(["sweep", "--n-grid", "1e23:1e23:1",
-                "--vs-grid", "4000:1e200:2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: rate constants outside")
-    assert len(err.splitlines()) == 1
+    # the grid is checked before a byte is written: v_s = 1e200 fails on
+    # its own, and at d = 1e-12 m, T = 1e-200 K only the cell of the
+    # largest nu_D (v_s = 1e-98 m/s) and sigma_X (N = 1e300) overflows
+    path.write_text(GOOD_CONFIG.replace("0.153e-9", "1e-12")
+                    .replace("T_K = 300", "T_K = 1e-200"))
+    for args in (["--n-grid", "1e23:1e23:1", "--vs-grid", "4000:1e200:2"],
+                 ["--config", str(path), "--n-grid", "1:1e300:2",
+                  "--vs-grid", "1e-98:4570:2"]):
+        assert run(["sweep"] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: rate constants outside")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+    # every other cell of that grid is in range
+    for n_grid, vs_grid in (("1:1:1", "1e-98:4570:2"),
+                            ("1:1e300:2", "4570:4570:1")):
+        assert run(["sweep", "--config", str(path), "--n-grid", n_grid,
+                    "--vs-grid", vs_grid]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_unknown_subcommand_exit_code(capsys):
@@ -208,7 +222,6 @@ def test_evolve_overflowing_envelope_is_silent(mode, tmp_path, capsys):
 
 def test_failed_command_leaves_no_out_file(tmp_path, capsys):
     out = tmp_path / "out.csv"
-    # the header is written before the bad value is reached
     assert run(["sweep", "--n-grid=-1:1:3", "--vs-grid", "4000:4000:1",
                 "--out", str(out)]) == 1
     assert not out.exists()
@@ -250,6 +263,38 @@ def test_sweep_corners(tmp_path):
     assert tau == pytest.approx(2343e-6, rel=2e-2)
 
 
+@pytest.mark.parametrize("config", [GOOD_CONFIG, MAGIC_CONFIG],
+                         ids=["reference", "magic"])
+def test_sweep_matches_cell_by_cell(config, tmp_path, capsys):
+    path = tmp_path / "sample.cfg"
+    path.write_text(config)
+    cfg = core.parse_config(config)
+    lines = ["N,v_s_mps,tau_X_s"]
+    for n in np.linspace(1e20, 1e26, 9):
+        for vs in np.linspace(1e3, 1e4, 7):
+            rates = rate_constants(gypsum_config(
+                d=cfg.d, a=cfg.a, T=cfg.T, theta=cfg.theta, N=float(n),
+                v_s=float(vs)))
+            lines.append(",".join(cli._fmt(x) for x in (n, vs, rates.tau_X)))
+    assert run(["sweep", "--config", str(path), "--n-grid", "1e20:1e26:9",
+                "--vs-grid", "1e3:1e4:7"]) == 0
+    assert capsys.readouterr().out == "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [[-0.0, math.nan, -math.inf, 1.5, 0.0]],
+    [[0.0, math.nan, math.inf, 1.0 / 3.0, 7.0, -0.0],
+     [-0.0, math.nan, -math.inf, 2.0, 7.0, -0.0],
+     [0.0, math.nan, math.inf, -1e-310, 7.0, -0.0],
+     [-0.0, math.nan, 5e-324, 1e300, 7.0, -0.0]]],
+    ids=["one-row", "four-rows"])
+def test_format_rows_matches_each_value(rows):
+    expected = "".join(",".join("%.17g" % x for x in row) + "\r\n"
+                       for row in rows)
+    assert cli._format_rows(np.array(rows)) == expected
+    assert "-0," in expected and "nan," in expected
+
+
 def test_sweep_monotone_in_n(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--n-grid", "1e22:1e24:5",
@@ -280,7 +325,7 @@ def test_oracle_cutoff_past_limit_is_config_error(tmp_path, capsys,
     assert run(["oracle", "fock", "--quick", "--tol", "1e-300",
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "cutoff of" in err
+    assert err.startswith("error: --tol 1e-300: ") and "cutoff of" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
 
@@ -381,6 +426,10 @@ GOLDEN_SHA256 = {
         "793fcc32a974dd97c80391e901bb1f0b6a951923ca2711b6cf11b2c8a2e788f2",
     "sweep":
         "f0e66df685f166b592fbd92346bfc5bc93127aca9f717e4e0504403003daf211",
+    "sweep-37x41":
+        "abaaf694164c93100fe98b9e0c0023c8dceefd6ae75fedb3faa5b18677a5fe04",
+    "sweep-magic":
+        "21435656ea8309ef640c11295cdbe67f1831a5a38eb5f5c7ae12eb98e8789790",
     "compare":
         "9d8ed2bf649f82e783a255d8a3bb3b06e4cb9d56d419479187d3f5980c644879",
     "evolve-free-default-reference-1":
@@ -425,6 +474,14 @@ def _golden_args(name, tmp_path):
     if name == "sweep":
         return ["sweep", "--n-grid", "1e21:1e24:4",
                 "--vs-grid", "3000:6000:3"]
+    if name == "sweep-37x41":
+        return ["sweep", "--n-grid", "1e20:1e26:37",
+                "--vs-grid", "1000:10000:41"]
+    if name == "sweep-magic":
+        config = tmp_path / "magic.cfg"
+        config.write_text(MAGIC_CONFIG)
+        return ["sweep", "--config", str(config), "--n-grid", "1e20:1e26:9",
+                "--vs-grid", "1000:10000:7"]
     if name == "compare":
         data = tmp_path / "exp.csv"
         data.write_text("nu_hat_khz,tau_exp_us\n50.4,120.5\n12.25,1800\n"
@@ -442,7 +499,7 @@ def _golden_args(name, tmp_path):
 
 
 def _golden_names():
-    names = ["constants", "sweep", "compare"]
+    names = ["constants", "sweep", "sweep-37x41", "sweep-magic", "compare"]
     for mode in ("free", "me"):
         for path in ("default", "exact"):
             for sample in ("reference", "magic"):
