@@ -81,6 +81,8 @@ def _parse_grid(spec):
         return np.array([start])
     if stop < start:
         raise _UsageError("grid stop must be >= start")
+    if not math.isfinite(stop - start):
+        raise _UsageError(f"grid {spec!r} span stop - start must be finite")
     try:
         return np.linspace(start, stop, steps)
     except MemoryError:
@@ -153,14 +155,16 @@ def cmd_evolve(args):
         return _format_rows(
             np.column_stack([times, parts.reshape(len(times), 32)]))
 
-    # the first block raises any ConfigError before a byte is written
-    first = block(0)
+    # a ConfigError holds at every time or, like a phase that leaves the
+    # float range, first at the largest: the last block raises it before
+    # a byte is written
+    starts = range(0, len(t_grid), _EVOLVE_BLOCK_ROWS)
+    last = block(starts[-1])
     with _output(args.out) as out:
         csv.writer(out).writerow(header)
-        out.write(first)
-        for start in range(_EVOLVE_BLOCK_ROWS, len(t_grid),
-                           _EVOLVE_BLOCK_ROWS):
+        for start in starts[:-1]:
             out.write(block(start))
+        out.write(last)
     return 0
 
 

@@ -9,7 +9,6 @@ appear only at reporting boundaries.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,36 +25,9 @@ GAMMA_P = 2.6752218744e8    # rad/(s T), proton
 M_P = 1.67262192369e-27     # kg
 
 
-class PairLevel(enum.Enum):
-    """Triplet-singlet basis of one spin pair, in fixed matrix order."""
-
-    T_PLUS = 0
-    T_ZERO = 1
-    T_MINUS = 2
-    SINGLET = 3
-
-
-#: Integer eigenvalue kappa of the secular dipolar tensor per level.
-KAPPA = {
-    PairLevel.T_PLUS: 1,
-    PairLevel.T_ZERO: -2,
-    PairLevel.T_MINUS: 1,
-    PairLevel.SINGLET: 0,
-}
-
-#: Levels in matrix order (index = position in any 4x4 pair matrix).
-LEVELS = (PairLevel.T_PLUS, PairLevel.T_ZERO, PairLevel.T_MINUS,
-          PairLevel.SINGLET)
-
-#: kappa values in matrix order.
-KAPPA_VALUES = tuple(KAPPA[lv] for lv in LEVELS)
-
-
-def kappa_of(level):
-    """kappa table lookup for a PairLevel."""
-    if not isinstance(level, PairLevel):
-        raise ConfigError(f"unknown level {level!r}")
-    return KAPPA[level]
+#: Integer eigenvalue kappa of the secular dipolar tensor per level, in
+#: matrix order (T+, T0, T-, S) of every 4x4 pair matrix.
+KAPPA_VALUES = (1, -2, 1, 0)
 
 
 # Larmor frequency only scales the initial-state amplitude; the default

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HBAR, M_P, coth
-from .decoherence import DecoherenceExponent, SingularModeError
+from .decoherence import DecoherenceExponent, decoherence_exponent_k
 from .eigdist import sum_width
 from . import phonon
-
-#: weights of the three sound-cone steps of the echoed cross kernel
-ME_STEP_WEIGHTS = (1.5, 0.75, -0.5)
 
 
 @dataclass(frozen=True)
@@ -40,6 +36,20 @@ class ReversalSchedule:
     def total(self):
         return self.t_F + self.t_B
 
+    @property
+    def terms(self):
+        """(weight, time) pairs of the sequence as free evolutions.
+
+        Every closed form linear in the bath kernels obeys
+        X_echo = (1-f) X(t_F) + f(f-1) X(t_B) + f X(t_F + t_B).
+        The weights sum to 1 - f + f^2, not 1; the weighted times sum to
+        t_F + f^2 t_B, which is t/2 for the ideal echo.  f = 1 collapses
+        the sequence to plain evolution over t_F + t_B.
+        """
+        f = self.f_B
+        return ((1.0 - f, self.t_F), (f * (f - 1.0), self.t_B),
+                (f, self.total))
+
 
 def ideal_echo_schedule(t_total):
     """f_B = -1/2, t_B = 2 t_F split of a total evolution time."""
@@ -47,80 +57,31 @@ def ideal_echo_schedule(t_total):
                             f_B=-0.5)
 
 
-def reversal_trig(omega, sched):
-    """Trigonometric pair (C, S) of the reversal exponents.
-
-    C = (1-f)[1-cos w t_F] + f(f-1)[1-cos w t_B] + f[1-cos w(t_F+t_B)]
-    S = (1-f) sin(w t_F) + f(f-1) sin(w t_B) + f sin(w(t_F+t_B))
-
-    f = 1 collapses both to plain evolution over t_F + t_B.
-    """
-    if omega <= 0:
-        raise ValueError("omega > 0 required")
-    f = sched.f_B
-    wf, wb = omega * sched.t_F, omega * sched.t_B
-    c = ((1.0 - f) * (1.0 - math.cos(wf))
-         + f * (f - 1.0) * (1.0 - math.cos(wb))
-         + f * (1.0 - math.cos(wf + wb)))
-    s = ((1.0 - f) * math.sin(wf)
-         + f * (f - 1.0) * math.sin(wb)
-         + f * math.sin(wf + wb))
-    return c, s
-
-
 def reversal_exponent_k(lambda_m, lambda_n, omega, beta, sched):
     """Per-mode decoherence exponent of the reversal sequence.
 
-    Gamma   = |lm-ln|^2/w^2 coth(beta w/2) C
-    Upsilon = (lm-ln)(lm+ln)*/w^2 [S - w(t_F + f^2 t_B)]
-              - 2 Im{lm ln*}/w^2 (C + i[S - w(t_F + f^2 t_B)])
-
-    The linear phase term t_F + f^2 t_B > 0 survives any f_B: the
-    backward interval can cancel oscillations but not the secular drift.
+    The weighted sum of decoherence_exponent_k over sched.terms.  Its
+    linear phase term -w(t_F + f^2 t_B) survives any f_B: the backward
+    interval can cancel oscillations but not the secular drift.
     """
-    if omega == 0:
-        raise SingularModeError("omega = 0 mode must be excluded upstream")
-    if omega < 0:
-        raise ValueError("omega must be positive")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    lm = complex(lambda_m)
-    ln = complex(lambda_n)
-    c, s = reversal_trig(omega, sched)
-    lin = s - omega * (sched.t_F + sched.f_B**2 * sched.t_B)
-    diff = lm - ln
-    gamma = abs(diff) ** 2 / omega**2 * coth(beta * omega / 2.0) * c
-    upsilon = (diff * (lm + ln).conjugate() / omega**2 * lin
-               - 2.0 * (lm * ln.conjugate()).imag / omega**2
-               * (c + 1j * lin))
+    gamma, upsilon = 0.0, 0j
+    for weight, t in sched.terms:
+        exponent = decoherence_exponent_k(lambda_m, lambda_n, omega, beta, t)
+        gamma += weight * exponent.gamma
+        upsilon += weight * exponent.upsilon
     return DecoherenceExponent(gamma=gamma, upsilon=upsilon)
-
-
-def phi_step_echo(x, t, v_s):
-    """Echoed retardation step: weighted sum of three sound cones.
-
-    phi = (3/2) phi(x, t/3) + (3/4) phi(x, 2t/3) - (1/2) phi(x, t);
-    ranges over [-pi/2, 7 pi/4].
-    """
-    total = 0.0
-    for n, j in enumerate(ME_STEP_WEIGHTS, start=1):
-        total += j * phonon.phi_step(x, n * t / 3.0, v_s)
-    return total
 
 
 def zeta_closed_echo(cfg, x, t):
     """Continuum cross kernel of the echoed sequence, m^2 s^2.
 
-    The linear parts of the three harmonics sum to t/2, so the sinc term
-    is the free one at half the total time; the step term uses the
-    three-cone phi.
+    The weighted sum of phonon.zeta_closed over the ideal echo's terms:
+    the sinc term is the free one at t/2, the step term weighs three
+    sound cones and ranges over [-pi/2, 7 pi/4].  Each term that falls
+    below the continuum window warns, as zeta_closed does.
     """
-    if t < 0:
-        raise ValueError("t >= 0 required")
-    scale = cfg.d**2 * HBAR * cfg.a / (2.0 * cfg.v_s**3 * M_P)
-    return scale * (phi_step_echo(x, t, cfg.v_s) / (2.0 * math.pi)
-                    - (cfg.v_s / cfg.a) * (t / 2.0)
-                    * phonon.sinc_weight(x, cfg.a))
+    return sum(weight * phonon.zeta_closed(cfg, x, t_k)
+               for weight, t_k in ideal_echo_schedule(t).terms)
 
 
 def me_sigma(cfg, sigma0, t, exact_path=False):
@@ -129,7 +90,8 @@ def me_sigma(cfg, sigma0, t, exact_path=False):
     Default: sigma_mn(t) = sigma_mn(0) exp(-[(km-kn) t / (2 tau_X)]^2);
     the energy phases cancel, the envelope time constant doubles.  The
     exact path keeps the slow kernels, all evaluated at half the total
-    time (the echoed linear parts sum to t/2), plus the near-unity G'.
+    time, plus the near-unity G': the weighted times of
+    ReversalSchedule.terms sum to t_F + f_B^2 t_B, which is t/2 here.
     Both are free evolution at t/2 without the nu0 phase, which is how
     this is computed: t/2 is exact, so dk (t/2)/tau_X = dk t/(2 tau_X).
 
@@ -253,15 +215,20 @@ def compare_experiment(records, v_s, n_pairs):
 
 
 def write_comparison_csv(report, stream):
-    """Emit nu_hat_khz, tau_exp_us, tau_theory_us, residual_us rows."""
+    """Emit nu_hat_khz, tau_exp_us, tau_theory_us, residual_us rows.
+
+    A value that overflows in microseconds raises ValueError before any
+    row is written.
+    """
+    rows = []
+    for rec, th, res in zip(report.records, report.tau_theory,
+                            report.residuals):
+        row = [rec.nu_hat_0, rec.tau_exp * 1e6, th * 1e6, res * 1e6]
+        if not all(math.isfinite(value) for value in row):
+            raise ValueError(f"decay times at nu_hat = {rec.nu_hat_0:g} kHz "
+                             "overflow in microseconds")
+        rows.append(["{:.17g}".format(value) for value in row])
     writer = csv.writer(stream)
     writer.writerow(["nu_hat_khz", "tau_exp_us", "tau_theory_us",
                      "residual_us"])
-    for rec, th, res in zip(report.records, report.tau_theory,
-                            report.residuals):
-        writer.writerow([
-            "{:.17g}".format(rec.nu_hat_0),
-            "{:.17g}".format(rec.tau_exp * 1e6),
-            "{:.17g}".format(th * 1e6),
-            "{:.17g}".format(res * 1e6),
-        ])
+    writer.writerows(rows)

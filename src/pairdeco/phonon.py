@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GAMMA_P, HBAR, K_B, KAPPA_VALUES, M_P, MU_0, ConfigError,
-                   kappa_of)
+from .core import GAMMA_P, HBAR, K_B, KAPPA_VALUES, M_P, MU_0, ConfigError
 from .decoherence import condensed_kernels
 from .eigdist import sum_width
 
@@ -37,20 +36,26 @@ def dipolar_coupling(d, theta=0.0):
     return MU_0 * GAMMA_P**2 * HBAR / (8.0 * math.pi) * factor / d**3
 
 
-def lambda_coefficient(cfg, level):
-    """Per-level gradient coefficient multiplying the mode amplitude.
+def _level_kappa(kappa):
+    if kappa not in KAPPA_VALUES:
+        raise ConfigError(f"kappa = {kappa!r} is not one of {KAPPA_VALUES}")
+    return kappa
+
+
+def lambda_coefficient(cfg, kappa):
+    """Gradient coefficient of the level kappa_m times the mode amplitude.
 
     lambda_m / g_k = -(3/2) (Omega0/d) kappa_m, in rad/(s m): the
     derivative of the dipolar coupling along the pair axis.
     """
     omega0 = dipolar_coupling(cfg.d, cfg.theta)
-    return -1.5 * (omega0 / cfg.d) * kappa_of(level)
+    return -1.5 * (omega0 / cfg.d) * _level_kappa(kappa)
 
 
-def level_energy(cfg, level):
-    """Unperturbed level energy E_m = (Omega0/2) kappa_m, rad/s."""
+def level_energy(cfg, kappa):
+    """Unperturbed energy E_m = (Omega0/2) kappa_m of a level, rad/s."""
     omega0 = dipolar_coupling(cfg.d, cfg.theta)
-    return 0.5 * omega0 * kappa_of(level)
+    return 0.5 * omega0 * _level_kappa(kappa)
 
 
 def acoustic_coupling(k, cfg):
@@ -315,7 +320,7 @@ def _evolve_sigma(cfg, sigma0, t, exact_path, energy_phase):
     ts = np.atleast_1d(times)[:, None, None]
     out = sigma0
     if energy_phase:
-        phase = np.exp(2.0j * math.pi * rates.nu0 * dk * ts)
+        phase = _phase(rates.nu0, dk, ts)
         out = out * phase
     # tau_X = inf at the magic angle gives an envelope of exactly 1; an
     # exponent that overflows to -inf gives exp(-inf) = 0, the exact limit
@@ -324,7 +329,7 @@ def _evolve_sigma(cfg, sigma0, t, exact_path, energy_phase):
     out = out * envelope
     if exact_path:
         ksq = np.subtract.outer(kappa**2, kappa**2)
-        nud_phase = np.exp(2.0j * math.pi * rates.nuD * ksq * ts)
+        nud_phase = _phase(rates.nuD, ksq, ts)
         out = out * nud_phase
         if math.isfinite(rates.tau_gamma):
             with np.errstate(over="ignore"):
@@ -332,6 +337,17 @@ def _evolve_sigma(cfg, sigma0, t, exact_path, energy_phase):
             out = out * slow
         out = out * gp
     return out if times.ndim else out[0]
+
+
+def _phase(freq, factor, ts):
+    """exp(2 pi i freq factor t); an argument past the float range has no
+    value mod 2 pi, so it raises ConfigError instead of giving nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = 2.0j * math.pi * freq * factor * ts
+    if not np.isfinite(arg).all():
+        raise ConfigError(f"the phase of the {freq:g} Hz rotation leaves "
+                          "the float range within the time grid")
+    return np.exp(arg)
 
 
 def discrete_kernel_sums(cfg, t, x=0.0):

@@ -146,13 +146,32 @@ def test_evolve_single_point_echoes_initial(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.filterwarnings("error")
 def test_evolve_bad_grid(capsys):
     assert run(["evolve", "--grid", "nope"]) == 1
     assert run(["evolve", "--grid", "0:1:0"]) == 1
     assert run(["evolve", "--grid", "1:0:5"]) == 1
-    for spec in ("nan:1e-4:3", "0:inf:3", "0:-inf:3", "nan:nan:1"):
-        assert run(["evolve", "--grid", spec]) == 1
-        assert "must be finite" in capsys.readouterr().err
+    capsys.readouterr()
+    # the last span, stop - start, overflows: linspace cannot space it
+    for spec in ("nan:1e-4:3", "0:inf:3", "0:-inf:3", "nan:nan:1",
+                 "-1.7e308:1.7e308:3"):
+        assert run(["evolve", f"--grid={spec}"]) == 1
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_evolve_phase_past_float_range(capsys):
+    # the nu0 phase overflows past t ~ 5.69e302 s, which of the 300 rows
+    # only the last reaches
+    for grid in ("0:1.7e308:3", "0:5.7e302:300"):
+        assert run(["evolve", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the phase of the ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("args", [
@@ -416,6 +435,21 @@ def test_compare_errors(tmp_path, capsys):
                 "--out", str(out)]) == 1
     assert "50.4 kHz" in capsys.readouterr().err
     assert not out.exists()
+    # at v_s = 1e152 m/s tau_theory is 6.7e303 s, finite, but 6.7e309 us
+    # overflows: one error line and nothing written, to stdout or --out
+    fast = tmp_path / "fast.cfg"
+    fast.write_text("d_m = 1.53e-10\na_m = 8e-10\nv_s_mps = 1e152\n"
+                    "N = 1\nT_K = 300\n")
+    data.write_text("nu_hat_khz,tau_exp_us\n1.0,1.0\n")
+    for extra in ([], ["--out", str(out)]):
+        assert run(["compare", str(data), "--config", str(fast)]
+                   + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+        assert "1 kHz" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 # SHA-256 of each golden invocation's output, which must be the same bytes

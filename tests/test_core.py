@@ -21,9 +21,6 @@ def test_beta_rejects_nonpositive_temperature():
 def test_kappa_table():
     assert core.KAPPA_VALUES == (1, -2, 1, 0)
     assert sum(core.KAPPA_VALUES) == 0
-    assert core.kappa_of(core.PairLevel.T_ZERO) == -2
-    with pytest.raises(core.ConfigError):
-        core.kappa_of("T0")
 
 
 def test_gypsum_config_defaults():

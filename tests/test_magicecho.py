@@ -24,37 +24,90 @@ def test_schedule_validation():
     assert sched.total == 3.0
 
 
-def test_reversal_trig_f1_collapse():
-    sched = me.ReversalSchedule(0.4, 0.9, 1.0)
-    c, s = me.reversal_trig(2.0, sched)
-    assert c == pytest.approx(1.0 - math.cos(2.0 * 1.3), rel=1e-12)
-    assert s == pytest.approx(math.sin(2.0 * 1.3), rel=1e-12)
-    assert me.reversal_trig(2.0, me.ReversalSchedule(0, 0, -0.5)) == (0.0, 0.0)
+def test_schedule_terms():
+    for sched in (me.ReversalSchedule(0.4, 0.9, -0.3),
+                  me.ideal_echo_schedule(3.0)):
+        weighted = sum(w * t for w, t in sched.terms)
+        assert weighted == pytest.approx(
+            sched.t_F + sched.f_B**2 * sched.t_B, rel=1e-15)
+    assert me.ideal_echo_schedule(3.0).terms == ((1.5, 1.0), (0.75, 2.0),
+                                                 (-0.5, 3.0))
+    # f = 1 is plain evolution over the total time
+    assert me.ReversalSchedule(0.4, 0.9, 1.0).terms == ((0.0, 0.4),
+                                                        (0.0, 0.9),
+                                                        (1.0, 0.4 + 0.9))
+
+
+#: (1-f, f(f-1), f) of the ideal echo, f = -1/2
+ECHO_WEIGHTS = (1.5, 0.75, -0.5)
 
 
 def echo_reduced_trig(omega, t):
     """(C, S) specialized to the ideal echo, as explicit harmonics of t/3.
 
     C = (3/2)[1-cos(wt/3)] + (3/4)[1-cos(2wt/3)] - (1/2)[1-cos(wt)]
-    and the sine analogue; coded independently of reversal_trig.
+    and the sine analogue.
     """
     c = 0.0
     s = 0.0
-    for n, j in enumerate(me.ME_STEP_WEIGHTS, start=1):
+    for n, j in enumerate(ECHO_WEIGHTS, start=1):
         c += j * (1.0 - math.cos(n * omega * t / 3.0))
         s += j * math.sin(n * omega * t / 3.0)
     return c, s
 
 
-def test_reversal_trig_matches_reduced_form():
-    # both codings of the ideal-echo trig, independent by construction
+def reversal_trig(omega, t_f, t_b, f):
+    """Trigonometric pair (C, S) of the reversal exponents.
+
+    C = (1-f)[1-cos w t_F] + f(f-1)[1-cos w t_B] + f[1-cos w(t_F+t_B)]
+    S = (1-f) sin(w t_F) + f(f-1) sin(w t_B) + f sin(w(t_F+t_B))
+    """
+    wf, wb = omega * t_f, omega * t_b
+    c = ((1.0 - f) * (1.0 - math.cos(wf))
+         + f * (f - 1.0) * (1.0 - math.cos(wb))
+         + f * (1.0 - math.cos(wf + wb)))
+    s = ((1.0 - f) * math.sin(wf)
+         + f * (f - 1.0) * math.sin(wb)
+         + f * math.sin(wf + wb))
+    return c, s
+
+
+def reversal_exponent_trig(lm, ln, omega, beta, t_f, t_b, f):
+    """(Gamma, Upsilon) of the reversal sequence from (C, S).
+
+    Gamma   = |lm-ln|^2/w^2 coth(beta w/2) C
+    Upsilon = (lm-ln)(lm+ln)*/w^2 [S - w(t_F + f^2 t_B)]
+              - 2 Im{lm ln*}/w^2 (C + i[S - w(t_F + f^2 t_B)])
+    """
+    c, s = reversal_trig(omega, t_f, t_b, f)
+    lin = s - omega * (t_f + f**2 * t_b)
+    diff = lm - ln
+    gamma = abs(diff) ** 2 / omega**2 / math.tanh(beta * omega / 2.0) * c
+    upsilon = (diff * (lm + ln).conjugate() / omega**2 * lin
+               - 2.0 * (lm * ln.conjugate()).imag / omega**2
+               * (c + 1j * lin))
+    return gamma, upsilon
+
+
+def test_reversal_exponent_matches_trig_form():
+    # the reference trig pair against the ideal echo's harmonics of t/3
     for omega in (0.7, 1.0, 3.1):
         for t in (0.3, 1.0, 7.7):
-            sched = me.ideal_echo_schedule(t)
-            c1, s1 = me.reversal_trig(omega, sched)
+            c1, s1 = reversal_trig(omega, t / 3.0, 2.0 * t / 3.0, -0.5)
             c2, s2 = echo_reduced_trig(omega, t)
             assert c1 == pytest.approx(c2, abs=1e-12)
             assert s1 == pytest.approx(s2, abs=1e-12)
+    # the weighted sum of free exponents against the (C, S) form
+    lm, ln = 0.3 + 0.4j, -0.2 + 0.1j
+    for f in (-1.0, -0.5, 0.3, 1.0):
+        for omega, beta in ((0.7, 0.5), (1.0, 2.0), (3.1, 8.0)):
+            for t_f, t_b in ((0.3, 0.6), (1.0, 0.25), (7.7, 3.0)):
+                sched = me.ReversalSchedule(t_f, t_b, f)
+                rev = me.reversal_exponent_k(lm, ln, omega, beta, sched)
+                gamma, upsilon = reversal_exponent_trig(lm, ln, omega, beta,
+                                                        t_f, t_b, f)
+                assert abs(rev.gamma - gamma) <= 1e-12
+                assert abs(rev.upsilon - upsilon) <= 1e-12
 
 
 def test_reversal_exponent_f1_additivity():
@@ -81,11 +134,14 @@ def test_linear_phase_never_cancelled():
 
 
 def test_phi_step_echo_range(cfg):
-    values = [me.phi_step_echo(x, 1.0, 1.0)
-              for x in np.linspace(-2.0, 2.0, 2001)]
+    def phi_step_echo(x):
+        # the three sound cones of the ideal echo at t = 1, v_s = 1
+        return sum(j * phonon.phi_step(x, n / 3.0, 1.0)
+                   for n, j in enumerate(ECHO_WEIGHTS, start=1))
+    values = [phi_step_echo(x) for x in np.linspace(-2.0, 2.0, 2001)]
     assert min(values) >= -math.pi / 2.0 - 1e-12
     assert max(values) <= 7.0 * math.pi / 4.0 + 1e-12
-    assert me.phi_step_echo(0.0, 1.0, 1.0) == pytest.approx(7 * math.pi / 4)
+    assert phi_step_echo(0.0) == pytest.approx(7 * math.pi / 4)
 
 
 def test_zeta_closed_echo_halves_linear_term(cfg):
@@ -94,6 +150,9 @@ def test_zeta_closed_echo_halves_linear_term(cfg):
     scale = cfg.d**2 * core.HBAR * cfg.a / (2.0 * cfg.v_s**3 * core.M_P)
     expected = scale * (7.0 / 8.0 - cfg.v_s / cfg.a * t / 2.0)
     assert z_echo == pytest.approx(expected, rel=1e-12)
+    # each free term below the continuum window warns, as zeta_closed does
+    with pytest.warns(UserWarning, match="continuum window"):
+        me.zeta_closed_echo(cfg, 0.0, 1e-13)
 
 
 def test_me_sigma_structure(cfg):

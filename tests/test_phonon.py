@@ -31,11 +31,15 @@ def test_dipolar_coupling_angles(cfg):
 
 def test_level_quantities(cfg):
     omega0 = phonon.dipolar_coupling(cfg.d)
-    lv = core.PairLevel.T_ZERO
-    assert phonon.level_energy(cfg, lv) == pytest.approx(-omega0)
-    assert phonon.lambda_coefficient(cfg, lv) == pytest.approx(
+    t_zero, singlet = core.KAPPA_VALUES[1], core.KAPPA_VALUES[3]
+    assert phonon.level_energy(cfg, t_zero) == pytest.approx(-omega0)
+    assert phonon.lambda_coefficient(cfg, t_zero) == pytest.approx(
         3.0 * omega0 / cfg.d)
-    assert phonon.lambda_coefficient(cfg, core.PairLevel.SINGLET) == 0.0
+    assert phonon.lambda_coefficient(cfg, singlet) == 0.0
+    for kappa in (2, -1, "T0"):
+        for quantity in (phonon.level_energy, phonon.lambda_coefficient):
+            with pytest.raises(ConfigError, match="kappa"):
+                quantity(cfg, kappa)
 
 
 def test_acoustic_coupling_structure(cfg):

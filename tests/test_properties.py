@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pairdeco import eigdist, magicecho as me, phonon
 from pairdeco.core import gypsum_config
@@ -97,11 +97,14 @@ def test_sigma_at_zero_is_sigma0(evolve, exact):
 
 @given(st.floats(min_value=0.0, max_value=5e-4),
        st.floats(min_value=1.0, max_value=3.0))
+# the envelope is 1.0 at both times, but |exp(i theta)| rounds one ulp up
+@example(t=5.5781774755731586e-14, factor=2.0)
 def test_envelope_monotone(t, factor):
     s0 = phonon.initial_after_pulse(CFG.omega0_larmor, CFG.T)
-    early = phonon.free_sigma(CFG, s0, t)
-    late = phonon.free_sigma(CFG, s0, t * factor)
-    assert np.all(np.abs(late) <= np.abs(early) + 1e-30)
+    early = np.abs(phonon.free_sigma(CFG, s0, t))
+    late = np.abs(phonon.free_sigma(CFG, s0, t * factor))
+    eps = np.finfo(float).eps
+    assert np.all(late <= early * (1.0 + 4.0 * eps) + 1e-30)
 
 
 @given(st.floats(min_value=0.0, max_value=2e-3))
