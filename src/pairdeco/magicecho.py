@@ -152,13 +152,6 @@ class ExperimentRecord:
                              "finite")
 
 
-#: Fig-style envelope parameter sets (v_s m/s, pair count)
-ENVELOPE_PARAMS = {
-    "lower": (2800.0, 8e21),
-    "upper": (5500.0, 8e22),
-}
-
-
 def load_experiment_csv(stream):
     """Parse `nu_hat_khz,tau_exp_us` records; errors carry line numbers."""
     reader = csv.reader(stream)
@@ -190,12 +183,11 @@ def load_experiment_csv(stream):
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-record theory values plus the bracketing envelope curves."""
+    """Per-record theory values and residuals."""
 
     records: tuple
     tau_theory: tuple      # s, aligned with records
     residuals: tuple       # s, tau_exp - tau_theory
-    envelopes: dict        # label -> tuple of tau (s) aligned with records
 
 
 def compare_experiment(records, v_s, n_pairs):
@@ -203,15 +195,10 @@ def compare_experiment(records, v_s, n_pairs):
     records = tuple(records)
     if not records:
         raise ValueError("records must be nonempty")
-    nus = [r.nu_hat_0 for r in records]
-    theory = theory_curve(nus, v_s, n_pairs)
+    theory = theory_curve([r.nu_hat_0 for r in records], v_s, n_pairs)
     residuals = [r.tau_exp - th for r, th in zip(records, theory)]
-    envelopes = {
-        label: tuple(theory_curve(nus, ev, en))
-        for label, (ev, en) in ENVELOPE_PARAMS.items()
-    }
     return ComparisonReport(records=records, tau_theory=tuple(theory),
-                            residuals=tuple(residuals), envelopes=envelopes)
+                            residuals=tuple(residuals))
 
 
 def write_comparison_csv(report, stream):

@@ -20,17 +20,40 @@ Newton steps (tridiag_eigh_dd); the phases exp(-+i E t) by argument
 reduction and Taylor series (Hida, Li & Bailey, ARITH-15, 2001), the
 thermal weights as powers of exp(-beta) and the gauge by complex
 products, each tested against a 50-digit reference.
+
+dd_matmul and tridiag_eigh_dd, most of the time taken here, and the
+row sums of _bilinear work on panels of _PANEL rows or columns, which
+_share hands out to this thread and, on a machine that gives the
+process a second CPU, one worker thread.  Each output entry takes the
+same float64 operations in the same order on either thread, so the
+results are bit-identical for any thread count.  Two rules bound the
+worker.  It allocates only panel-sized arrays, as whole-size
+temporaries on two threads, each with its own glibc malloc arena,
+raise the peak resident set.  And it calls no public function of this
+module, so a tracer that wraps them, as perfbench's does with one span
+stack, sees every span on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-#: rows of A per banded slice product in dd_matmul (32 to 128 time alike)
-_ROW_BLOCK = 64
+#: rows or columns per panel of dd_matmul, tridiag_eigh_dd and _bilinear
+#: (32 to 128 time alike at n = 545)
+_PANEL = 64
+#: threads that share the panels: this one and, given a second CPU, one
+#: worker; the work is float64 BLAS and ufunc loops, which run without
+#: the interpreter lock
+_THREADS = min(2, (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1))
+#: the worker thread, created by the first _share that needs it
+_worker = None
 #: slices per dd_matmul operand; dd_matmul's docstring bounds the error
 _N_SLICES = 6
 #: pi/2 as double-double; the pair errs by 1.5e-33
@@ -235,6 +258,54 @@ def _powers(z, n):
 
 
 # ---------------------------------------------------------------------------
+# panels shared between this thread and one worker
+# ---------------------------------------------------------------------------
+
+def _panels(n):
+    """Slices of _PANEL indices covering range(n), the last one partial."""
+    return [slice(i, min(i + _PANEL, n)) for i in range(0, n, _PANEL)]
+
+
+def _share(func, panels):
+    """func(panel) for every panel, on this thread and one worker thread.
+
+    The panels go in order to whichever thread is free.  A call writes
+    only its own panel of arrays the caller allocated and reads nothing
+    another call writes, so the results do not depend on _THREADS.  It
+    keeps the module docstring's two rules.  Measured for the first:
+    with each reversal time's whole trace on a thread instead, a
+    two-point oracle run peaked at 156-170 MiB resident, 151-154 MiB
+    with one glibc arena, against 129-131 MiB.  Nor may it call _share,
+    whose work would queue behind itself on the worker.  An exception
+    in a call is raised here, once both threads are done.
+    """
+    global _worker
+    todo = iter(panels)
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                panel = next(todo, None)
+            if panel is None:
+                return
+            func(panel)
+
+    if _THREADS < 2 or len(panels) < 2:
+        drain()
+        return
+    if _worker is None:
+        # deferred: concurrent.futures costs ~9 ms to import
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(1)
+    future = _worker.submit(drain)
+    try:
+        drain()
+    finally:
+        future.result()
+
+
+# ---------------------------------------------------------------------------
 # sliced exact-product matrix multiplication (double-double via BLAS)
 # ---------------------------------------------------------------------------
 
@@ -304,13 +375,21 @@ def dd_matmul(a, b):
     are about 2**(-_N_SLICES*delta) of |A||B|: 2**-120, or 8e-37, at
     k = 545, where delta = 20.
 
-    Slice products skip exact-zero stretches: a block of _ROW_BLOCK
-    rows of slice i of A multiplies only its nonzero columns [k0, k1)
-    into the columns [c0, c1) where rows k0:k1 of slice j of B are
-    nonzero.  All other terms are exact zeros, and as every partial sum
-    is exact, leaving them out changes no bit but perhaps a zero's sign.
-    Non-finite operands raise ValueError, as skipping would leave part
-    of a NaN row finite.
+    B is sliced once, on the calling thread.  A is sliced, multiplied
+    and summed one panel of _PANEL rows at a time, into that panel's
+    rows of the result, the panels shared by _share between this thread
+    and a worker; a panel allocates only panel-sized arrays.  A row's
+    slices depend on that row alone, so each output entry takes the
+    same float64 operations in the same order whichever panel or thread
+    forms it.
+
+    Slice products skip exact-zero stretches: slice i of a panel
+    multiplies only its nonzero columns [k0, k1) into the columns
+    [c0, c1) where rows k0:k1 of slice j of B are nonzero.  All other
+    terms are exact zeros, and as every partial sum is exact, leaving
+    them out changes no bit but perhaps a zero's sign.  Non-finite
+    operands raise ValueError, as skipping would leave part of a NaN
+    row finite.
     """
     k = a[0].shape[1]
     if b[0].shape[0] != k:
@@ -319,29 +398,34 @@ def dd_matmul(a, b):
         if not (np.isfinite(x[0]).all() and np.isfinite(x[1]).all()):
             raise ValueError(f"dd_matmul: operand {name} is not finite")
     delta = (53 - math.ceil(math.log2(max(k, 1) * (_N_SLICES + 1)))) // 2
-    a_slices = _slice_matrix(a, delta, axis=1)
     b_slices = _slice_matrix(b, delta, axis=0)
-    a_extents = [_row_extents(s) for s in a_slices]
     b_extents = [_row_extents(s) for s in b_slices]
     m, p = a[0].shape[0], b[0].shape[1]
-    acc = dd(np.zeros((m, p)))
-    for level in range(_N_SLICES, -1, -1):
-        level_sum = np.zeros((m, p))
-        for i in range(max(0, level - _N_SLICES + 1),
-                       min(level, _N_SLICES - 1) + 1):
-            a_s, (a_first, a_last) = a_slices[i], a_extents[i]
-            b_s, (b_first, b_last) = b_slices[level - i], b_extents[level - i]
-            for r0 in range(0, m, _ROW_BLOCK):
-                rows = slice(r0, r0 + _ROW_BLOCK)
-                k0, k1 = a_first[rows].min(), a_last[rows].max()
+    out = np.empty((m, p)), np.empty((m, p))
+
+    def panel(rows):
+        a_slices = _slice_matrix((a[0][rows], a[1][rows]), delta, axis=1)
+        # the panel's nonzero columns [k0, k1) per slice of A
+        a_spans = [(first.min(), last.max())
+                   for first, last in map(_row_extents, a_slices)]
+        acc = dd(np.zeros((a_slices[0].shape[0], p)))
+        for level in range(_N_SLICES, -1, -1):
+            level_sum = np.zeros_like(acc[0])
+            for i in range(max(0, level - _N_SLICES + 1),
+                           min(level, _N_SLICES - 1) + 1):
+                a_s, (k0, k1) = a_slices[i], a_spans[i]
+                b_s, (b_first, b_last) = (b_slices[level - i],
+                                          b_extents[level - i])
                 if k0 >= k1:
                     continue
                 c0, c1 = b_first[k0:k1].min(), b_last[k0:k1].max()
                 if c0 < c1:
-                    level_sum[rows, c0:c1] += (a_s[rows, k0:k1]
-                                               @ b_s[k0:k1, c0:c1])
-        acc = _dd_add_f(acc, level_sum)
-    return acc
+                    level_sum[:, c0:c1] += a_s[:, k0:k1] @ b_s[k0:k1, c0:c1]
+            acc = _dd_add_f(acc, level_sum)
+        out[0][rows], out[1][rows] = acc
+
+    _share(panel, _panels(m))
+    return out
 
 
 def dd_transpose(x):
@@ -391,6 +475,16 @@ def tridiag_eigh_dd(diag_dd, off_dd):
     ~1e-26 there; Wilkinson's W21+, whose top eigenvalues pair up
     7e-14 apart, reaches 1e-4.
 
+    The seed, the gaps, the eigenvalue update and the check on F take
+    the whole matrix, on the calling thread.  The rest runs on panels of
+    _PANEL columns, shared by _share between this thread and a worker,
+    in passes that each finish before the next begins: one normalizes
+    the seed in place; per step, one forms the panel's columns of R and
+    C, and one adds V_hi F to the panel's columns of a new V, reading
+    the old V, and normalizes them.  A panel allocates only
+    panel-sized arrays, and a column's operations do not depend on the
+    panel or thread that holds it.
+
     Returns (eigenvalues dd (n,) ascending, eigenvectors dd (n, n) as
     columns).
     """
@@ -403,11 +497,24 @@ def tridiag_eigh_dd(diag_dd, off_dd):
     gap = e0[None, :] - e0[:, None]  # lambda_j - lambda_k at (k, j)
     np.fill_diagonal(gap, np.inf)
     eigvals, v = dd(e0), dd(v0)
+    panels = _panels(n)
+
+    def normalize(cols):
+        v[0][:, cols], v[1][:, cols] = _normalize_columns(
+            (v[0][:, cols], v[1][:, cols]))
+
+    _share(normalize, panels)
     for step in range(2):
-        v = _normalize_columns(v)
-        res = dd_sub(_tridiag_times(diag_dd, off_dd, v),
-                     dd_mul((eigvals[0][None, :], eigvals[1][None, :]), v))
-        c = v[0].T @ res[0]
+        c = np.empty((n, n))
+
+        def project(cols):
+            v_p = v[0][:, cols], v[1][:, cols]
+            res = dd_sub(_tridiag_times(diag_dd, off_dd, v_p),
+                         dd_mul((eigvals[0][None, cols],
+                                 eigvals[1][None, cols]), v_p))
+            c[:, cols] = v[0].T @ res[0]
+
+        _share(project, panels)
         eigvals = _dd_add_f(eigvals, np.diag(c))
         with np.errstate(divide="ignore", invalid="ignore"):
             f = c / gap
@@ -415,8 +522,15 @@ def tridiag_eigh_dd(diag_dd, off_dd):
             raise ValueError("tridiag_eigh_dd: eigenvalues too close to "
                              "refine, smallest seed gap "
                              f"{np.min(np.diff(e0)):.3g}")
-        v = _dd_add_f(v, v[0] @ f)
-    return eigvals, _normalize_columns(v)
+        new = np.empty((n, n)), np.empty((n, n))
+
+        def correct(cols):
+            new[0][:, cols], new[1][:, cols] = _normalize_columns(_dd_add_f(
+                (v[0][:, cols], v[1][:, cols]), v[0] @ f[:, cols]))
+
+        _share(correct, panels)
+        v = new
+    return eigvals, v
 
 
 def tridiag_residual(diag_dd, off_dd, eigvals, v):
@@ -483,8 +597,20 @@ def _thermal_weights(beta, n_max):
 
 
 def _bilinear(w, left, right):
-    """sum_jl left_j w_jl right_l for a complex dd matrix and vectors."""
-    rows = cdd_sum(cdd_mul(w, _cdd_map(lambda x: x[None, :], right)), axis=1)
+    """sum_jl left_j w_jl right_l for a complex dd matrix and vectors.
+
+    The sums over l run on panels of _PANEL rows, shared by _share.
+    """
+    n = w[0][0].shape[0]
+    rows = tuple((np.empty(n), np.empty(n)) for _ in range(2))
+    right = _cdd_map(lambda x: x[None, :], right)
+
+    def panel(r):
+        sums = cdd_sum(cdd_mul(_cdd_map(lambda x: x[r], w), right), axis=1)
+        for out, part in zip(rows, sums):
+            out[0][r], out[1][r] = part
+
+    _share(panel, _panels(n))
     return cdd_to_complex(cdd_sum(cdd_mul(rows, left), axis=0))
 
 

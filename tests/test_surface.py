@@ -147,6 +147,8 @@ def test_runtime_does_not_import_mpmath():
         import math, sys
         import pairdeco.cli
         assert "mpmath" not in sys.modules, "import pairdeco.cli"
+        # xprec imports it only to start its worker thread
+        assert "concurrent.futures" not in sys.modules, "import pairdeco.cli"
         from pairdeco import xprec
         # the oracle's hardest point, at a small cutoff
         xprec.s_free_x(0.5, -0.3, 0.1, [math.pi], 40)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -483,3 +485,102 @@ def test_dd_matmul_count_complex_pair(monkeypatch):
     xp.s_reversal_x(0.3, -0.2j, 1.0, pairs, -0.5, 30)
     # G12 and G34 stay real; G_theta and G41 take at most two each
     assert len(calls) <= 6 + 4 * len(pairs)
+
+
+def test_share_takes_every_panel_once_on_two_threads(monkeypatch):
+    monkeypatch.setattr(xp, "_THREADS", 2)
+    # panels 0 and 1 can only pass the barrier on two threads at once
+    barrier = threading.Barrier(2, timeout=10)
+    taken = []
+
+    def take(panel):
+        if panel < 2:
+            barrier.wait()
+        taken.append((panel, threading.get_ident()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        xp._share(take, list(range(2000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(panel for panel, _ in taken) == list(range(2000))
+    threads = dict(taken)
+    assert threads[0] != threads[1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_share_raises_what_a_panel_raises(monkeypatch, threads):
+    monkeypatch.setattr(xp, "_THREADS", threads)
+
+    def fail(panel):
+        if panel == 3:
+            raise ValueError("panel 3")
+
+    with pytest.raises(ValueError, match="panel 3"):
+        xp._share(fail, list(range(6)))
+
+
+def _on_one_and_two_threads(monkeypatch, func, *args):
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setattr(xp, "_THREADS", threads)
+        results.append(func(*args))
+    return results
+
+
+def _same_bits(x, y):
+    return all(np.array_equal(np.asarray(a).view(np.int64),
+                              np.asarray(b).view(np.int64))
+               for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("m", [1, 65, 130])
+@pytest.mark.parametrize("banded", [True, False])
+def test_dd_matmul_bits_do_not_depend_on_threads(monkeypatch, m, banded):
+    # 65 and 130 rows leave a partial last panel
+    rng = np.random.default_rng(37)
+    k, p = 140, 120
+    if banded:
+        a = _banded(rng, m, k, 4.0, 30, ())
+        b = _banded(rng, k, p, 4.0, 30, ())
+    else:
+        a = rng.standard_normal((m, k)), rng.standard_normal((m, k)) * 1e-18
+        b = rng.standard_normal((k, p)), rng.standard_normal((k, p)) * 1e-18
+    one, two = _on_one_and_two_threads(monkeypatch, xp.dd_matmul, a, b)
+    assert _same_bits(one, two)
+    assert _same_bits(one, _dense_dd_matmul(a, b))
+
+
+def test_tridiag_eigh_dd_bits_do_not_depend_on_threads(monkeypatch):
+    n = 150
+    diag = xp.dd(np.arange(n, dtype=float))
+    off = xp.dd_mul(xp.dd_sqrt(xp.dd(np.arange(1.0, n))), xp.dd(0.35))
+    (e1, v1), (e2, v2) = _on_one_and_two_threads(
+        monkeypatch, xp.tridiag_eigh_dd, diag, off)
+    assert _same_bits(e1, e2) and _same_bits(v1, v2)
+
+
+def test_s_reversal_x_does_not_depend_on_threads(monkeypatch):
+    pairs = [(0.5, 1.0), (1.3, 0.4)]
+    one, two = _on_one_and_two_threads(monkeypatch, xp.s_reversal_x,
+                                       0.3, -0.2j, 1.0, pairs, -0.5, 150)
+    assert one == two
+
+
+def test_traced_functions_run_on_the_calling_thread(monkeypatch):
+    # a tracer keeps one span stack, so its spans must open and close on
+    # the main thread while the panels run on two
+    monkeypatch.setattr(xp, "_THREADS", 2)
+    seen = []
+    for name in ("s_free_x", "s_reversal_x", "tridiag_eigh_dd", "dd_matmul"):
+        def traced(*args, _func=getattr(xp, name), _name=name):
+            seen.append((_name, threading.current_thread()))
+            return _func(*args)
+
+        monkeypatch.setattr(xp, name, traced)
+    xp.s_free_x(0.3, -0.2j, 1.0, [0.5], 140)
+    xp.s_reversal_x(0.3, -0.2j, 1.0, [(0.5, 1.0)], -0.5, 140)
+    assert {name for name, _ in seen} == {"s_free_x", "s_reversal_x",
+                                          "tridiag_eigh_dd", "dd_matmul"}
+    assert {thread for _, thread in seen} == {threading.main_thread()}
