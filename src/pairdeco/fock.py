@@ -4,8 +4,11 @@ The independent numerical check of the closed forms: the traces over
 the levels j <= n_max, with no coherent-state algebra anywhere, in
 omega = 1 units (times omega*t, inverse temperatures beta*omega).
 Both precisions truncate at the cutoff ``tail_bound_n_max`` gives for
-an absolute error target; ``xprec`` evaluates the same formula in
-double-double:
+an absolute error target, and ``xprec`` evaluates the same formula in
+double-double.  A trace call of either precision takes a sequence of
+times at one cutoff: the systems and overlaps below do not depend on
+t, so each call builds them once, and each time adds only its phase
+vectors and the final sum.
 
 * M + f*J, J = lam* b + lam b+, has diagonal j and off-diagonal
   f*lam* sqrt(j) above it.  With D = diag(u^j), u = sign(f)
@@ -74,25 +77,31 @@ def _overlap(sys_a, sys_b, weights):
     return v_a.T @ ((c * weights)[:, None] * v_b)
 
 
-def numeric_s_free(lambda_m, lambda_n, n_max, beta, t):
-    """Tr[exp(-i(M+J_m)t) Theta exp(+i(M+J_n)t)] on the truncated space."""
-    if t < 0:
+def numeric_s_free(lambda_m, lambda_n, beta, times, n_max):
+    """Tr[exp(-i(M+J_m)t) Theta exp(+i(M+J_n)t)] per t in times, truncated.
+
+    The mode systems and overlaps do not depend on t and are built once
+    per call; each time adds only its two phase vectors and the sum.
+    """
+    if any(t < 0 for t in times):
         raise ValueError("t >= 0 required")
     sys_m, sys_n = _mode_systems(((lambda_m, 1.0), (lambda_n, 1.0)), n_max)
     a_mat = _overlap(sys_m, sys_n, _thermal_weights(beta, n_max))
-    b_mat = _overlap(sys_n, sys_m, 1.0)
+    a_b = a_mat * _overlap(sys_n, sys_m, 1.0).T
     # S = sum_jl pm_j A_jl B_lj pn_l
-    pm, pn = np.exp(-1j * sys_m[0] * t), np.exp(1j * sys_n[0] * t)
-    return complex(pm @ (a_mat * b_mat.T) @ pn)
+    return [complex(np.exp(-1j * sys_m[0] * t) @ a_b
+                    @ np.exp(1j * sys_n[0] * t)) for t in times]
 
 
-def numeric_s_reversal(lambda_m, lambda_n, n_max, beta, t_F, t_B, f_B):
-    """Five-factor trace of the forward/backward (reversal) sequence.
+def numeric_s_reversal(lambda_m, lambda_n, beta, times, f_B, n_max):
+    """Five-factor reversal trace per (t_F, t_B) in times, truncated.
 
     Tr[exp(-i(M+f_B J_m)t_B) exp(-i(M+J_m)t_F) Theta
        exp(+i(M+J_n)t_F) exp(+i(M+f_B J_n)t_B)]
+
+    The overlaps are built once per call, as in numeric_s_free.
     """
-    if t_F < 0 or t_B < 0:
+    if any(t_F < 0 or t_B < 0 for t_F, t_B in times):
         raise ValueError("t_F, t_B >= 0 required")
     s1, s2, s3, s4 = _mode_systems(
         ((lambda_m, f_B), (lambda_m, 1.0), (lambda_n, 1.0), (lambda_n, f_B)),
@@ -100,12 +109,16 @@ def numeric_s_reversal(lambda_m, lambda_n, n_max, beta, t_F, t_B, f_B):
     g12, g34 = _overlap(s1, s2, 1.0), _overlap(s3, s4, 1.0)
     g_theta = _overlap(s2, s3, _thermal_weights(beta, n_max))
     g41 = _overlap(s4, s1, 1.0)
-    p1, p2 = np.exp(-1j * s1[0] * t_B), np.exp(-1j * s2[0] * t_F)
-    p3, p4 = np.exp(1j * s3[0] * t_F), np.exp(1j * s4[0] * t_B)
-    p_mat = (g_theta * p3) @ g34
-    q_mat = (g41 * p1) @ g12
-    # Tr(P Q) = sum_jl p2_j (G_theta D3 G34)_jl p4_l (G41 D1 G12)_lj
-    return complex(p2 @ (p_mat * q_mat.T) @ p4)
+
+    def trace(t_F, t_B):
+        p1, p2 = np.exp(-1j * s1[0] * t_B), np.exp(-1j * s2[0] * t_F)
+        p3, p4 = np.exp(1j * s3[0] * t_F), np.exp(1j * s4[0] * t_B)
+        p_mat = (g_theta * p3) @ g34
+        q_mat = (g41 * p1) @ g12
+        # Tr(P Q) = sum_jl p2_j (G_theta D3 G34)_jl p4_l (G41 D1 G12)_lj
+        return complex(p2 @ (p_mat * q_mat.T) @ p4)
+
+    return [trace(t_F, t_B) for t_F, t_B in times]
 
 
 def displaced_identity_residual(lam, n_max, f):
@@ -145,14 +158,14 @@ def tail_bound_n_max(beta, lambdas, target_abs):
     return n_max
 
 
-def converged_s_free(lambda_m, lambda_n, beta, t, tol):
-    """(numeric_s_free, n_max) at the cutoff that truncates below tol."""
+def converged_s_free(lambda_m, lambda_n, beta, times, tol):
+    """(numeric_s_free list, n_max) at the cutoff that truncates below tol."""
     n_max = tail_bound_n_max(beta, (lambda_m, lambda_n), tol)
-    return numeric_s_free(lambda_m, lambda_n, n_max, beta, t), n_max
+    return numeric_s_free(lambda_m, lambda_n, beta, times, n_max), n_max
 
 
-def converged_s_reversal(lambda_m, lambda_n, beta, t_F, t_B, f_B, tol):
-    """(numeric_s_reversal, n_max) at the cutoff that truncates below tol."""
+def converged_s_reversal(lambda_m, lambda_n, beta, times, f_B, tol):
+    """(numeric_s_reversal list, n_max) at the cutoff truncating below tol."""
     n_max = tail_bound_n_max(beta, (lambda_m, lambda_n), tol)
-    return (numeric_s_reversal(lambda_m, lambda_n, n_max, beta, t_F, t_B,
-                               f_B), n_max)
+    return (numeric_s_reversal(lambda_m, lambda_n, beta, times, f_B, n_max),
+            n_max)

@@ -9,11 +9,13 @@ JSON reporting:
   enumeration, exact moments, central-limit diagnostics.
 * ksum: discrete mode sums against the continuum kernels.
 
-Every grid point's trace runs at the cutoff ``fock.tail_bound_n_max``
-gives for a truncation error of 0.25 tol |S|.  Strong-decoherence
-points (|S| below ``EXTENDED_THRESHOLD``) run on the double-double
-engine, where the float64 error floor, about 1e-15 absolute, would
-swamp the relative comparison.
+The fock grid runs per (lambda_m, lambda_n, beta) group and method.
+Strong-decoherence points (|S| below ``EXTENDED_THRESHOLD``) run on
+the double-double engine, where the float64 error floor, about 1e-15
+absolute, would swamp the relative comparison; the rest run in
+float64.  One method's points of a group share the cutoff
+``fock.tail_bound_n_max`` gives for a truncation error of 0.25 tol |S|
+at their smallest |S|, and each kind is one trace call over its times.
 """
 
 from __future__ import annotations
@@ -63,38 +65,46 @@ def _point_record(kind, inputs, closed, numeric, n_used, method, tol):
     }
 
 
-def _extended_group(checks, pending, lm, ln, beta, tol):
-    """Double-double records of one (lambda_m, lambda_n, beta) group.
+def _method_records(method, points, lm, ln, beta, tol):
+    """Records of one method's points of a (lambda_m, lambda_n, beta) group.
 
-    ``pending`` holds (slot, kind, inputs, closed, timing) per point;
-    each record lands in ``checks[slot]``.  The whole group runs at one
-    cutoff, the largest any of its points needs, and its free and
-    reversal traces share one set of eigensystems.  A cutoff past the
-    limit raises ConfigError before any eigensystem is built.
+    ``points`` holds (kind, inputs, closed, timing) per point, in grid
+    order.  They share one cutoff: the tail bound at the smallest target
+    0.25 tol |closed|, the largest cutoff any of them needs (a larger
+    cutoff only shrinks the truncation error).  Each kind is one trace
+    call over its times, and the extended calls share one set of
+    eigensystems.  A cutoff past the limit raises ConfigError before
+    any eigensystem is built.
     """
-    n_max = max(fock.tail_bound_n_max(beta, (lm, ln),
-                                      0.25 * tol * abs(closed))
-                for _, _, _, closed, _ in pending)
-    eigensystems = {}
-    free = [p for p in pending if p[1] == "free"]
-    reversal = [p for p in pending if p[1] == "reversal"]
-    numerics = []
-    if free:
-        numerics += xprec.s_free_x(lm, ln, beta, [t for *_, t in free],
-                                   n_max, eigensystems)
-    if reversal:
-        scheds = [sched for *_, sched in reversal]
-        # every reversal point runs the ideal schedule: one f_B
-        numerics += xprec.s_reversal_x(
-            lm, ln, beta, [(s.t_F, s.t_B) for s in scheds],
-            scheds[0].f_B, n_max, eigensystems)
-    for (slot, kind, inputs, closed, _), numeric in zip(free + reversal,
-                                                        numerics):
-        checks[slot] = _point_record(kind, inputs, closed, numeric, n_max,
-                                     "extended", tol)
+    target = min(0.25 * tol * abs(closed) for _, _, closed, _ in points)
+    n_max = fock.tail_bound_n_max(beta, (lm, ln), target)
+    free = [t for kind, _, _, t in points if kind == "free"]
+    scheds = [s for kind, _, _, s in points if kind == "reversal"]
+    # every reversal point runs the ideal schedule: one f_B
+    pairs = [(s.t_F, s.t_B) for s in scheds]
+    values = {}
+    if method == "float64":
+        if free:
+            values["free"], _ = fock.converged_s_free(lm, ln, beta, free,
+                                                      target)
+        if pairs:
+            values["reversal"], _ = fock.converged_s_reversal(
+                lm, ln, beta, pairs, scheds[0].f_B, target)
+    else:
+        eigensystems = {}
+        if free:
+            values["free"] = xprec.s_free_x(lm, ln, beta, free, n_max,
+                                            eigensystems)
+        if pairs:
+            values["reversal"] = xprec.s_reversal_x(
+                lm, ln, beta, pairs, scheds[0].f_B, n_max, eigensystems)
+    numerics = {kind: iter(found) for kind, found in values.items()}
+    return [_point_record(kind, inputs, closed, next(numerics[kind]), n_max,
+                          method, tol)
+            for kind, inputs, closed, _ in points]
 
 
-def fock_suite(tol=1e-8, quick=False):
+def fock_suite(tol, quick=False):
     """Closed-form vs truncated-Fock agreement over the documented grid.
 
     Each grid time is the total evolution time; reversal points split it
@@ -103,15 +113,15 @@ def fock_suite(tol=1e-8, quick=False):
     asserted separately.
 
     Every trace runs at a thermal-tail cutoff with truncation error
-    below 0.25 tol |closed|.  A point whose closed form has modulus at
-    least EXTENDED_THRESHOLD runs the float64 trace at its own cutoff.
-    The other points are grouped by (lambda_m, lambda_n, beta) and each
-    group runs on the double-double engine at one cutoff: the largest
-    any of its points needs (a larger cutoff only shrinks the truncation
-    error).  Each record's ``n_max`` is the cutoff its trace ran at.
-    Records keep grid order: per time, the free point then the reversal.
-    Each group ends with one progress line on stderr: its index, its
-    methods, its largest ``n_max`` and its seconds.
+    below 0.25 tol |closed|.  The points of one (lambda_m, lambda_n,
+    beta) group split by method: a closed form of modulus at least
+    EXTENDED_THRESHOLD runs the float64 trace, the others the
+    double-double engine.  Each method's points run at one cutoff, the
+    largest any of them needs, with one trace call per kind
+    (_method_records).  Each record's ``n_max`` is the cutoff its trace
+    ran at.  Records keep grid order: per time, the free point then the
+    reversal.  Each group ends with one progress line on stderr: its
+    index, its methods, its largest ``n_max`` and its seconds.
     """
     lambdas = QUICK_LAMBDAS if quick else GRID_LAMBDAS
     betas = QUICK_BETAS if quick else GRID_BETAS
@@ -120,39 +130,28 @@ def fock_suite(tol=1e-8, quick=False):
               for ln in lambdas[i:] for beta in betas]
     checks = []
     for index, (lm, ln, beta) in enumerate(groups, 1):
-        start, first = time.perf_counter(), len(checks)
-        pending = []
+        start = time.perf_counter()
+        parts, order = {}, []
         for t in times:
             inputs = {"lambda_m": _fmt_c(complex(lm)),
                       "lambda_n": _fmt_c(complex(ln)),
                       "omega": 1.0, "beta_omega": beta, "omega_t": t}
             sched = ideal_echo_schedule(t)
-            points = (
-                ("free", s_mn([(1.0, lm, ln)], beta, t), t),
-                ("reversal", reversal_exponent_k(
-                    lm, ln, 1.0, beta, sched).s_value(), sched),
-            )
-            for kind, closed, timing in points:
-                if abs(closed) < EXTENDED_THRESHOLD:
-                    pending.append((len(checks), kind, inputs, closed,
-                                    timing))
-                    checks.append(None)
-                    continue
-                target = 0.25 * tol * abs(closed)
-                if kind == "free":
-                    numeric, n_used = fock.converged_s_free(
-                        lm, ln, beta, t, target)
-                else:
-                    numeric, n_used = fock.converged_s_reversal(
-                        lm, ln, beta, sched.t_F, sched.t_B, sched.f_B,
-                        target)
-                checks.append(_point_record(kind, inputs, closed, numeric,
-                                            n_used, "float64", tol))
-        if pending:
-            _extended_group(checks, pending, lm, ln, beta, tol)
-        records = checks[first:]
-        methods = "+".join(sorted({c["method"] for c in records}))
-        n_max = max(c["n_max"] for c in records)
+            for kind, closed, timing in (
+                    ("free", s_mn([(1.0, lm, ln)], beta, t), t),
+                    ("reversal", reversal_exponent_k(
+                        lm, ln, 1.0, beta, sched).s_value(), sched)):
+                method = ("extended" if abs(closed) < EXTENDED_THRESHOLD
+                          else "float64")
+                parts.setdefault(method, []).append((kind, inputs, closed,
+                                                     timing))
+                order.append(method)
+        records = {m: iter(_method_records(m, part, lm, ln, beta, tol))
+                   for m, part in parts.items()}
+        group = [next(records[method]) for method in order]
+        checks += group
+        methods = "+".join(sorted(parts))
+        n_max = max(c["n_max"] for c in group)
         # progress goes to stderr, so the report stays deterministic
         print(f"oracle fock: group {index}/{len(groups)}, {methods}, "
               f"n_max {n_max}, {time.perf_counter() - start:.2f} s",
@@ -175,29 +174,30 @@ def fock_structure_checks():
                        "passed": bool(value <= bound)})
 
     # conjugate-swap symmetry of the free trace
-    s_ab = fock.numeric_s_free(lambdas[0], lambdas[1], n_max, beta, 1.3)
-    s_ba = fock.numeric_s_free(lambdas[1], lambdas[0], n_max, beta, 1.3)
+    s_ab, = fock.numeric_s_free(lambdas[0], lambdas[1], beta, [1.3], n_max)
+    s_ba, = fock.numeric_s_free(lambdas[1], lambdas[0], beta, [1.3], n_max)
     record("conjugate_symmetry", abs(s_ab - s_ba.conjugate()), 1e-12)
 
     # equal eigenvalues give a pure phase
-    s_eq = fock.numeric_s_free(lambdas[0], lambdas[0], n_max, beta, 2.0)
+    s_eq, = fock.numeric_s_free(lambdas[0], lambdas[0], beta, [2.0], n_max)
     record("pure_phase_equal_lambda", abs(abs(s_eq) - 1.0), 1e-10)
 
     # modulus bound
     record("modulus_bound", abs(s_ab) - 1.0, 1e-8)
 
     # f_B = 1 reversal equals free evolution over the total time
-    for t_f, t_b in ((0.4, 0.9), (1.0, 2.0)):
-        r1 = fock.numeric_s_reversal(lambdas[0], lambdas[2], n_max, beta,
-                                     t_f, t_b, 1.0)
-        r2 = fock.numeric_s_free(lambdas[0], lambdas[2], n_max, beta,
-                                 t_f + t_b)
+    pairs = [(0.4, 0.9), (1.0, 2.0)]
+    reversal = fock.numeric_s_reversal(lambdas[0], lambdas[2], beta, pairs,
+                                       1.0, n_max)
+    free = fock.numeric_s_free(lambdas[0], lambdas[2], beta,
+                               [t_f + t_b for t_f, t_b in pairs], n_max)
+    for r1, r2 in zip(reversal, free, strict=True):
         record("reversal_additivity", abs(r1 - r2), 1e-12)
 
     # t_B = 0 degenerates to the free trace
-    r3 = fock.numeric_s_reversal(lambdas[0], lambdas[2], n_max, beta,
-                                 0.7, 0.0, -0.5)
-    r4 = fock.numeric_s_free(lambdas[0], lambdas[2], n_max, beta, 0.7)
+    r3, = fock.numeric_s_reversal(lambdas[0], lambdas[2], beta, [(0.7, 0.0)],
+                                  -0.5, n_max)
+    r4, = fock.numeric_s_free(lambdas[0], lambdas[2], beta, [0.7], n_max)
     record("reversal_t_B_zero", abs(r3 - r4), 1e-12)
 
     # displaced-operator identity on interior blocks
@@ -326,7 +326,7 @@ def _report(suite, checks):
             "total": len(checks)}
 
 
-def run_suites(which="all", tol=1e-8, quick=False):
+def run_suites(which, tol, quick):
     """Run the requested suites; returns a list of reports."""
     reports = []
     if which in ("fock", "all"):

@@ -62,8 +62,8 @@ def acoustic_coupling(k, cfg):
     """Acoustic-branch displacement amplitude g_k, complex meters.
 
     g_k = -2 u_k i sin(k d/2), u_k = sqrt(hbar/(2 w_k m_p N l_M)),
-    l_M = 2 ions per cell, w_k = v_s |k|.  Purely imaginary and odd in
-    k, so g_{-k} = -g_k^* = g_k^*... i.e. conj antisymmetry holds.
+    l_M = 2 ions per cell, w_k = v_s |k|.  Odd in k and purely
+    imaginary, so g_{-k} = -g_k = g_k^*.
     k = 0 gives 0 (the uniform translation couples to nothing).  k is a
     wavevector or an array of them; the result has its shape.
     """

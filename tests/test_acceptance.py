@@ -77,8 +77,8 @@ def test_criterion_05_fock_oracle_equivalence():
 
     Free and reversal (f_B = -1/2, t_B = 2 t_F) decoherence functions
     over the documented lambda/beta/time grid; strongly decohered
-    points run on the double-double engine.  Runtime about 10 s on a
-    2-CPU machine.
+    points run on the double-double engine.  Runtime 6-8 s on a 2-CPU
+    machine.
     """
     report = oracles.fock_suite(tol=1e-8)
     bad = [c for c in report["checks"] if not c["passed"]]
@@ -94,10 +94,12 @@ def test_criterion_05_fock_oracle_equivalence():
 def test_criterion_06_reversal_additivity_and_displacement():
     """f_B = 1 additivity to 1e-12; displaced identity to 1e-12 omega."""
     n_max, beta = 160, 1.0
+    pairs = ((0.4, 0.9), (1.0, 2.0), (0.1, 3.0))
     for lm, ln in ((0.3, 0.5), (0.3, -0.2j), (-0.2j, 0.5)):
-        for t_f, t_b in ((0.4, 0.9), (1.0, 2.0), (0.1, 3.0)):
-            rev = numeric_s_reversal(lm, ln, n_max, beta, t_f, t_b, 1.0)
-            free = numeric_s_free(lm, ln, n_max, beta, t_f + t_b)
+        revs = numeric_s_reversal(lm, ln, beta, pairs, 1.0, n_max)
+        frees = numeric_s_free(lm, ln, beta,
+                               [t_f + t_b for t_f, t_b in pairs], n_max)
+        for rev, free in zip(revs, frees, strict=True):
             assert abs(rev - free) <= 1e-12
     for f in (1.0, -0.5):
         for lam in (0.0, 0.4, 0.3 - 0.2j, 0.5j):

@@ -1,12 +1,19 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
+import os
 import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pairdeco import cli, core, magicecho as me
+from pairdeco import cli, core, magicecho as me, phonon
 from pairdeco.core import gypsum_config
 from pairdeco.phonon import rate_constants
 
@@ -19,8 +26,8 @@ N = 1e23
 """
 
 
-MAGIC_CONFIG = (GOOD_CONFIG
-                + f"theta_rad = {math.acos(1.0 / math.sqrt(3.0))!r}\n")
+MAGIC_THETA = math.acos(1.0 / math.sqrt(3.0))
+MAGIC_CONFIG = GOOD_CONFIG + f"theta_rad = {MAGIC_THETA!r}\n"
 
 
 def run(args):
@@ -552,3 +559,141 @@ def test_golden_output_bytes(name, tmp_path, capsys):
     assert run(args) == 0
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == GOLDEN_SHA256[name]
+
+
+#: every positive float is drawn from each decade of its range alike
+LOG_UNIFORM = st.floats(min_value=-323.0, max_value=308.0).map(
+    lambda e: 10.0 ** e)
+AT_LEAST_ONE = st.floats(min_value=0.0, max_value=308.0).map(
+    lambda e: 10.0 ** e)
+
+
+#: the reference sample, with the keys the drawn configs may change
+REFERENCE = {"d_m": 0.153e-9, "a_m": 0.8e-9, "v_s_mps": 4570.0,
+             "T_K": 300.0, "N": 1e23}
+KEYS = tuple(REFERENCE) + ("theta_rad", "omega0_larmor_radps", "N1")
+#: edges of the model, drawn as often as a log-uniform value
+EDGES = {"N": st.just(1.0), "theta_rad": st.just(MAGIC_THETA),
+         "N1": st.just(2.0)}
+
+
+@st.composite
+def _config_texts(draw):
+    """The reference config with up to three keys drawn log-uniformly
+    or set to an edge of the model."""
+    values = dict(REFERENCE)
+    keys = draw(st.sets(st.sampled_from(KEYS), max_size=3))
+    for key in keys:
+        values[key] = draw(st.one_of(LOG_UNIFORM,
+                                     EDGES.get(key, LOG_UNIFORM)))
+    if "N1" in values:
+        values["N1"] = float(round(values["N1"]))
+    if {"T_K", "omega0_larmor_radps"} & keys:
+        # sigma(0) scales as hbar omega0/(k_B T): draw the pair jointly,
+        # with that ratio log-uniform in half of the draws
+        t_k, omega0, ratio = draw(st.tuples(LOG_UNIFORM, LOG_UNIFORM,
+                                            st.booleans()))
+        values["T_K"] = t_k
+        values["omega0_larmor_radps"] = (
+            omega0 * core.K_B * t_k / core.HBAR if ratio else omega0)
+    return "".join(f"{key} = {value!r}\n" for key, value in values.items())
+
+
+@st.composite
+def _invocations(draw):
+    """(argv without --config/--out, config text or None, data or None)."""
+    command = draw(st.sampled_from(("constants", "evolve", "sweep",
+                                    "compare", "oracle")))
+    if command == "oracle":
+        # the grid suites run on the reference sample: no config to draw
+        return draw(st.sampled_from((["oracle", "fock", "--quick"],
+                                     ["oracle", "eigdist"],
+                                     ["oracle", "ksum"]))), None, None
+    args, data = [command], None
+    if command == "evolve":
+        args += ["--mode", draw(st.sampled_from(("free", "me"))), "--grid",
+                 f"0:{draw(LOG_UNIFORM)!r}:{draw(st.integers(1, 300))}"]
+        if draw(st.booleans()):
+            args.append("--exact-path")
+    elif command == "sweep":
+        # N >= 1 on the N axis: below it every sweep is a ConfigError
+        for flag, axis in (("--n-grid", AT_LEAST_ONE),
+                           ("--vs-grid", LOG_UNIFORM)):
+            low, high = sorted(draw(st.tuples(axis, axis)))
+            args += [flag, f"{low!r}:{high!r}:{draw(st.integers(1, 12))}"]
+    elif command == "compare":
+        rows = draw(st.lists(st.tuples(LOG_UNIFORM, LOG_UNIFORM),
+                             min_size=1, max_size=4))
+        data = "nu_hat_khz,tau_exp_us\n" + "".join(
+            f"{nu!r},{tau!r}\n" for nu, tau in rows)
+    return args, draw(_config_texts()), data
+
+
+def _check_payload(command, text, config):
+    """The output parses, and every number in it is finite, apart from
+    the decay times at the magic angle, whose exact limit is inf."""
+    if command == "oracle":
+        assert json.loads(text)["failures"] == 0
+        return
+    cfg = core.parse_config(config)
+    # Omega0 is d^-3 times a factor of theta alone, zero at the magic angle
+    magic = phonon.dipolar_coupling(1.0, cfg.theta) == 0.0
+    header, *rows = csv.reader(io.StringIO(text))
+    assert rows and all(len(row) == len(header) for row in rows)
+    cells = rows if command == "constants" else [
+        cell for row in rows for cell in zip(header, row)]
+    for name, value in cells:
+        value = float(value)
+        assert math.isfinite(value) or (
+            magic and value == math.inf and name.startswith("tau")), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_invocations(), st.booleans())
+@example((["evolve", "--grid", "0:1e-4:3"],
+          "d_m = 0.153e-9\na_m = 0.8e-9\nv_s_mps = 4570\nN = 1e23\n"
+          "T_K = 1e-320\n", None), True)
+@example((["constants"],
+          "d_m = 0.153e-9\na_m = 0.8e-9\nv_s_mps = 4570\nN = 1e23\n"
+          "T_K = 1e-30\nomega0_larmor_radps = 1e300\n", None), False)
+@example((["sweep", "--n-grid", "1:1e30:3", "--vs-grid", "1e3:1e4:2"],
+          MAGIC_CONFIG, None), False)
+def test_cli_contract(invocation, to_file):
+    # exit 0 with parseable output and no warnings, or one error: line,
+    # exit 1, no output and no --out file
+    args, config, data = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, text):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as handle:
+                handle.write(text)
+            return path
+
+        if config is not None:
+            args = args + ["--config", write("sample.cfg", config)]
+        if data is not None:
+            args = args + [write("data.csv", data)]
+        out = os.path.join(tmp, "out")
+        if to_file:
+            args = args + ["--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = cli.main(args)
+        if code != 0:
+            assert code == 1
+            assert re.fullmatch(r"error: [^\n]+\n", stderr.getvalue())
+            assert stdout.getvalue() == "" and not os.path.exists(out)
+            return
+        assert [str(w.message) for w in caught] == []
+        if to_file:
+            assert stdout.getvalue() == ""
+            with open(out, newline="") as handle:
+                text = handle.read()
+        else:
+            text = stdout.getvalue()
+    if args[0] != "oracle":
+        assert stderr.getvalue() == ""
+    _check_payload(args[0], text, config)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pairdeco import fock
+from pairdeco import fock, oracles
 from pairdeco.core import ConfigError
 from pairdeco.decoherence import s_mn
 
@@ -52,13 +52,14 @@ GAUGE_PAIRS = [(0.3, -0.2), (0.5, -0.3), (0.2j, complex(0.0, -0.2)),
 @pytest.mark.parametrize("lm, ln", GAUGE_PAIRS)
 def test_gauge_traces_equal_dense_traces(lm, ln, n_max):
     beta = 1.0
-    for t in (0.0, 0.7, math.pi):
-        assert abs(fock.numeric_s_free(lm, ln, n_max, beta, t)
-                   - dense_s_free(lm, ln, n_max, beta, t)) <= 1e-12
+    times = (0.0, 0.7, math.pi)
+    gauges = fock.numeric_s_free(lm, ln, beta, times, n_max)
+    for t, gauge in zip(times, gauges, strict=True):
+        assert abs(gauge - dense_s_free(lm, ln, n_max, beta, t)) <= 1e-12
+    pairs = ((0.5, 1.0), (0.8, 0.0), (1.3, 2.6))
     for f_b in (1.0, -0.5):
-        for t_f, t_b in ((0.5, 1.0), (0.8, 0.0), (1.3, 2.6)):
-            gauge = fock.numeric_s_reversal(lm, ln, n_max, beta, t_f, t_b,
-                                            f_b)
+        traces = fock.numeric_s_reversal(lm, ln, beta, pairs, f_b, n_max)
+        for (t_f, t_b), gauge in zip(pairs, traces, strict=True):
             dense = dense_s_reversal(lm, ln, n_max, beta, t_f, t_b, f_b)
             assert abs(gauge - dense) <= 1e-12
 
@@ -94,32 +95,32 @@ def test_gauge_reduction_is_exact_similarity():
 
 
 def test_equal_lambda_pure_phase():
-    s = fock.numeric_s_free(0.3, 0.3, 80, 1.0, 2.0)
+    s, = fock.numeric_s_free(0.3, 0.3, 1.0, [2.0], 80)
     assert abs(abs(s) - 1.0) < 1e-10
 
 
 def test_t_zero_returns_unit_trace():
-    s = fock.numeric_s_free(0.3, -0.2, 60, 1.0, 0.0)
+    s, = fock.numeric_s_free(0.3, -0.2, 1.0, [0.0], 60)
     assert s == pytest.approx(1.0, abs=1e-12)
 
 
 def test_free_trace_matches_closed_form_easy_point():
     s_cl = s_mn([(1.0, 0.3, -0.2j)], 1.0, 1.3)
-    s_num, n_used = fock.converged_s_free(0.3, -0.2j, 1.0, 1.3,
-                                          0.25e-9 * abs(s_cl))
+    (s_num,), n_used = fock.converged_s_free(0.3, -0.2j, 1.0, [1.3],
+                                             0.25e-9 * abs(s_cl))
     assert abs(s_num - s_cl) / abs(s_cl) < 1e-9
     assert n_used >= 2
 
 
 def test_reversal_tb_zero_equals_free():
-    r = fock.numeric_s_reversal(0.3, 0.5, 70, 1.0, 0.8, 0.0, -0.5)
-    f = fock.numeric_s_free(0.3, 0.5, 70, 1.0, 0.8)
+    r, = fock.numeric_s_reversal(0.3, 0.5, 1.0, [(0.8, 0.0)], -0.5, 70)
+    f, = fock.numeric_s_free(0.3, 0.5, 1.0, [0.8], 70)
     assert abs(r - f) < 1e-12
 
 
 def test_reversal_f1_additivity():
-    r = fock.numeric_s_reversal(0.3, 0.5, 70, 1.0, 0.4, 0.9, 1.0)
-    f = fock.numeric_s_free(0.3, 0.5, 70, 1.0, 1.3)
+    r, = fock.numeric_s_reversal(0.3, 0.5, 1.0, [(0.4, 0.9)], 1.0, 70)
+    f, = fock.numeric_s_free(0.3, 0.5, 1.0, [1.3], 70)
     assert abs(r - f) < 1e-12
 
 
@@ -139,3 +140,33 @@ def test_tail_bound_n_max():
     # its logarithm does not, and the cutoff it names is past the limit
     with pytest.raises(ConfigError, match="cutoff of 7267"):
         fock.tail_bound_n_max(0.1, (-0.3, 0.5), 0.25 * 1e-300 * 1.9e-12)
+
+
+def test_float64_records_of_a_group_share_one_cutoff(monkeypatch, capsys):
+    calls = []
+
+    def counted(trace):
+        def wrapper(*args):
+            calls.append(args)
+            return trace(*args)
+        return wrapper
+
+    for name in ("converged_s_free", "converged_s_reversal"):
+        monkeypatch.setattr(fock, name, counted(getattr(fock, name)))
+    tol = 1e-8
+    report = oracles.fock_suite(tol, quick=True)
+    groups = {}
+    for c in report["checks"]:
+        if "rel_err" in c:
+            assert c["method"] == "float64"
+            inputs = c["inputs"]
+            key = (complex(*inputs["lambda_m"]), complex(*inputs["lambda_n"]),
+                   inputs["beta_omega"])
+            groups.setdefault(key, []).append(c)
+    assert len(groups) == len(capsys.readouterr().err.splitlines())
+    # one call per kind per group, each over all of the group's times
+    assert len(calls) == 2 * len(groups)
+    for (lm, ln, beta), records in groups.items():
+        smallest = min(abs(complex(*c["closed_form"])) for c in records)
+        cutoff = fock.tail_bound_n_max(beta, (lm, ln), 0.25 * tol * smallest)
+        assert {c["n_max"] for c in records} == {cutoff}

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pairdeco import fock, oracles, xprec as xp
 from pairdeco.core import ConfigError
 from pairdeco.decoherence import s_mn
-from pairdeco.magicecho import ReversalSchedule, reversal_exponent_k
+from pairdeco.magicecho import ReversalSchedule, ideal_echo_schedule, \
+    reversal_exponent_k
 
 
 def _mp(x):
@@ -358,19 +359,23 @@ def test_tridiag_eigh_dd_rejects_close_eigenvalues():
         xp.tridiag_eigh_dd(diag, off)
 
 
-def test_extended_group_rejects_cutoff_past_gate(monkeypatch):
+def test_group_cutoff_past_gate_raises_before_any_build(monkeypatch):
     monkeypatch.setattr(xp, "tridiag_eigh_dd",
                         lambda *_: pytest.fail("eigensystem built"))
+    monkeypatch.setattr(fock.np.linalg, "eigh",
+                        lambda *_: pytest.fail("eigensystem built"))
     lm, ln, beta, t = -0.3, 0.5, 0.1, 10.0
-    closed = 1.9e-12 + 0j
-    pending = [(0, "free", {}, closed, t)]
-    with pytest.raises(ConfigError, match="cutoff of 7267"):
-        oracles._extended_group([None], pending, lm, ln, beta, 1e-300)
+    sched = ideal_echo_schedule(t)
+    for method, closed, cutoff in (("extended", 1.9e-12 + 0j, 7267),
+                                   ("float64", 0.5 + 0j, 7004)):
+        points = [("free", {}, closed, t), ("reversal", {}, closed, sched)]
+        with pytest.raises(ConfigError, match=f"cutoff of {cutoff}"):
+            oracles._method_records(method, points, lm, ln, beta, 1e-300)
 
 
 def test_s_free_x_matches_float64_easy_point():
     lm, ln, beta, t = 0.3, -0.2j, 1.0, 0.5
-    s64, _ = fock.converged_s_free(lm, ln, beta, t, 1e-12)
+    (s64,), _ = fock.converged_s_free(lm, ln, beta, [t], 1e-12)
     sx, = xp.s_free_x(lm, ln, beta, [t],
                       fock.tail_bound_n_max(beta, (lm, ln), 1e-20))
     assert abs(sx - s64) < 5e-10
@@ -406,13 +411,14 @@ def test_s_reversal_x_f1_additivity():
 def test_multi_time_traces_equal_single_time_calls():
     lm, ln, beta, n = 0.3, -0.2j, 1.0, 60
     times = [0.5, 1.3, math.pi]
-    free = xp.s_free_x(lm, ln, beta, times, n)
-    assert free == [xp.s_free_x(lm, ln, beta, [t], n)[0]
-                    for t in times]
     pairs = [(t / 3.0, 2.0 * t / 3.0) for t in times]
-    rev = xp.s_reversal_x(lm, ln, beta, pairs, -0.5, n)
-    assert rev == [xp.s_reversal_x(lm, ln, beta, [p], -0.5, n)[0]
-                   for p in pairs]
+    for s_free, s_reversal in ((xp.s_free_x, xp.s_reversal_x),
+                               (fock.numeric_s_free, fock.numeric_s_reversal)):
+        free = s_free(lm, ln, beta, times, n)
+        assert free == [s_free(lm, ln, beta, [t], n)[0] for t in times]
+        rev = s_reversal(lm, ln, beta, pairs, -0.5, n)
+        assert rev == [s_reversal(lm, ln, beta, [p], -0.5, n)[0]
+                       for p in pairs]
 
 
 def test_group_builds_each_tridiagonal_once(monkeypatch):
@@ -447,8 +453,8 @@ def test_shared_lambda_overlaps_are_real():
 def test_s_reversal_x_non_collinear_complex_pair():
     lm, ln, beta, t_f, t_b = 0.3 + 0.4j, -0.2j, 1.0, 0.5, 1.0
     n = fock.tail_bound_n_max(beta, (lm, ln), 1e-20)
-    s64, _ = fock.converged_s_reversal(lm, ln, beta, t_f, t_b, -0.5,
-                                       1e-12)
+    (s64,), _ = fock.converged_s_reversal(lm, ln, beta, [(t_f, t_b)], -0.5,
+                                          1e-12)
     sx, = xp.s_reversal_x(lm, ln, beta, [(t_f, t_b)], -0.5, n)
     assert abs(sx - s64) < 5e-10
     r, = xp.s_reversal_x(lm, ln, beta, [(t_f, t_b)], 1.0, n)
