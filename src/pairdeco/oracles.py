@@ -65,6 +65,11 @@ def _point_record(kind, inputs, closed, numeric, n_used, method, tol):
     }
 
 
+def _target(points, tol):
+    """The truncation target of one method's points of a group."""
+    return min(0.25 * tol * abs(closed) for _, _, closed, _ in points)
+
+
 def _method_records(method, points, lm, ln, beta, tol):
     """Records of one method's points of a (lambda_m, lambda_n, beta) group.
 
@@ -76,7 +81,7 @@ def _method_records(method, points, lm, ln, beta, tol):
     eigensystems.  A cutoff past the limit raises ConfigError before
     any eigensystem is built.
     """
-    target = min(0.25 * tol * abs(closed) for _, _, closed, _ in points)
+    target = _target(points, tol)
     n_max = fock.tail_bound_n_max(beta, (lm, ln), target)
     free = [t for kind, _, _, t in points if kind == "free"]
     scheds = [s for kind, _, _, s in points if kind == "reversal"]
@@ -118,19 +123,21 @@ def fock_suite(tol, quick=False):
     EXTENDED_THRESHOLD runs the float64 trace, the others the
     double-double engine.  Each method's points run at one cutoff, the
     largest any of them needs, with one trace call per kind
-    (_method_records).  Each record's ``n_max`` is the cutoff its trace
-    ran at.  Records keep grid order: per time, the free point then the
-    reversal.  Each group ends with one progress line on stderr: its
-    index, its methods, its largest ``n_max`` and its seconds.
+    (_method_records).  Every group's cutoffs are found before the
+    first trace, so a tol that needs one past the limit raises
+    ConfigError at once.  Each record's ``n_max`` is the cutoff its
+    trace ran at.  Records keep grid order: per time, the free point
+    then the reversal.  Each group ends with one progress line on
+    stderr: its index, its methods, its largest ``n_max`` and the
+    seconds of its traces.
     """
     lambdas = QUICK_LAMBDAS if quick else GRID_LAMBDAS
     betas = QUICK_BETAS if quick else GRID_BETAS
     times = QUICK_TIMES if quick else GRID_TIMES
     groups = [(lm, ln, beta) for i, lm in enumerate(lambdas)
               for ln in lambdas[i:] for beta in betas]
-    checks = []
-    for index, (lm, ln, beta) in enumerate(groups, 1):
-        start = time.perf_counter()
+    plans = []
+    for lm, ln, beta in groups:
         parts, order = {}, []
         for t in times:
             inputs = {"lambda_m": _fmt_c(complex(lm)),
@@ -146,6 +153,13 @@ def fock_suite(tol, quick=False):
                 parts.setdefault(method, []).append((kind, inputs, closed,
                                                      timing))
                 order.append(method)
+        # every cutoff before the first trace: a tol too small fails at once
+        for part in parts.values():
+            fock.tail_bound_n_max(beta, (lm, ln), _target(part, tol))
+        plans.append((lm, ln, beta, parts, order))
+    checks = []
+    for index, (lm, ln, beta, parts, order) in enumerate(plans, 1):
+        start = time.perf_counter()
         records = {m: iter(_method_records(m, part, lm, ln, beta, tol))
                    for m, part in parts.items()}
         group = [next(records[method]) for method in order]

@@ -21,17 +21,18 @@ reduction and Taylor series (Hida, Li & Bailey, ARITH-15, 2001), the
 thermal weights as powers of exp(-beta) and the gauge by complex
 products, each tested against a 50-digit reference.
 
-dd_matmul and tridiag_eigh_dd, most of the time taken here, and the
-row sums of _bilinear work on panels of _PANEL rows or columns, which
-_share hands out to this thread and, on a machine that gives the
-process a second CPU, one worker thread.  Each output entry takes the
-same float64 operations in the same order on either thread, so the
-results are bit-identical for any thread count.  Two rules bound the
-worker.  It allocates only panel-sized arrays, as whole-size
-temporaries on two threads, each with its own glibc malloc arena,
-raise the peak resident set.  And it calls no public function of this
-module, so a tracer that wraps them, as perfbench's does with one span
-stack, sees every span on the calling thread.
+dd_matmul and tridiag_eigh_dd, most of the time taken here, the
+scaled operands of s_reversal_x and the row sums of _bilinear work on
+panels of _PANEL rows or columns, which _share hands out to this thread
+and, on a machine that gives the process a second CPU, one worker
+thread.  Each output entry takes the same float64 operations in the
+same order on either thread, so the results are bit-identical for any
+thread count.  Two rules bound the worker.  It allocates only
+panel-sized arrays, as whole-size temporaries on two threads, each
+with its own glibc malloc arena, raise the peak resident set.  And it
+calls none of s_free_x, s_reversal_x, tridiag_eigh_dd and dd_matmul,
+so a tracer that wraps them, as perfbench's does with one span stack,
+sees every span on the calling thread.
 """
 
 from __future__ import annotations
@@ -269,15 +270,19 @@ def _panels(n):
 def _share(func, panels):
     """func(panel) for every panel, on this thread and one worker thread.
 
-    The panels go in order to whichever thread is free.  A call writes
-    only its own panel of arrays the caller allocated and reads nothing
-    another call writes, so the results do not depend on _THREADS.  It
-    keeps the module docstring's two rules.  Measured for the first:
-    with each reversal time's whole trace on a thread instead, a
-    two-point oracle run peaked at 156-170 MiB resident, 151-154 MiB
-    with one glibc arena, against 129-131 MiB.  Nor may it call _share,
-    whose work would queue behind itself on the worker.  An exception
-    in a call is raised here, once both threads are done.
+    The panel passes are dd_matmul's slicing of B by columns
+    (_slice_columns) and its products by rows of A; tridiag_eigh_dd's
+    normalization, projection and correction by columns; s_reversal_x's
+    stacked operand by rows; and _bilinear's row sums.  The panels go
+    in order to whichever thread is free.  A call writes only its own
+    panel of arrays the caller allocated and reads nothing another call
+    writes, so the results do not depend on _THREADS.  It keeps the
+    module docstring's two rules.  Measured for the first: with each
+    reversal time's whole trace on a thread instead, a two-point oracle
+    run peaked at 156-170 MiB resident, 151-154 MiB with one glibc
+    arena, against 129-131 MiB.  Nor may it call _share, whose work
+    would queue behind itself on the worker.  An exception in a call is
+    raised here, once both threads are done.
     """
     global _worker
     todo = iter(panels)
@@ -355,6 +360,36 @@ def _row_extents(s):
             np.where(any_, n - nonzero[:, ::-1].argmax(axis=1), 0))
 
 
+def _slice_columns(b, delta):
+    """_slice_matrix(b, delta, axis=0) and the _row_extents of each slice.
+
+    Formed one panel of _PANEL columns at a time, shared by _share: a
+    column's slices depend on that column alone.  Each panel writes its
+    columns of the slices and finds its rows' nonzero columns; the
+    panels' extents are then merged by min and max.
+    """
+    k, p = b[0].shape
+    slices = np.empty((_N_SLICES, k, p))
+    col_panels = _panels(p)
+    # per panel and slice, each row's first and one-past-last nonzero
+    # column, (p, 0) if the panel has none
+    firsts = np.empty((len(col_panels), _N_SLICES, k), dtype=np.intp)
+    lasts = np.empty_like(firsts)
+
+    def panel(cols):
+        index = cols.start // _PANEL
+        for i, s in enumerate(_slice_matrix((b[0][:, cols], b[1][:, cols]),
+                                            delta, axis=0)):
+            slices[i][:, cols] = s
+            first, last = _row_extents(s)
+            nonzero = last > 0
+            firsts[index, i] = np.where(nonzero, first + cols.start, p)
+            lasts[index, i] = np.where(nonzero, last + cols.start, 0)
+
+    _share(panel, col_panels)
+    return slices, list(zip(firsts.min(axis=0), lasts.max(axis=0)))
+
+
 def dd_matmul(a, b):
     """C = A @ B for double-double matrices, accurate to ~1e-30 relative.
 
@@ -375,13 +410,14 @@ def dd_matmul(a, b):
     are about 2**(-_N_SLICES*delta) of |A||B|: 2**-120, or 8e-37, at
     k = 545, where delta = 20.
 
-    B is sliced once, on the calling thread.  A is sliced, multiplied
-    and summed one panel of _PANEL rows at a time, into that panel's
-    rows of the result, the panels shared by _share between this thread
-    and a worker; a panel allocates only panel-sized arrays.  A row's
-    slices depend on that row alone, so each output entry takes the
-    same float64 operations in the same order whichever panel or thread
-    forms it.
+    Both operands are sliced on panels that _share hands to this thread
+    and a worker; a panel allocates only panel-sized arrays.  B is
+    sliced one panel of _PANEL columns at a time (_slice_columns).  A
+    is then sliced, multiplied and summed one panel of _PANEL rows at a
+    time, into that panel's rows of the result.  A row's slices depend
+    on that row alone and a column's on that column, so each output
+    entry takes the same float64 operations in the same order whichever
+    panel or thread forms it.
 
     Slice products skip exact-zero stretches: slice i of a panel
     multiplies only its nonzero columns [k0, k1) into the columns
@@ -398,8 +434,7 @@ def dd_matmul(a, b):
         if not (np.isfinite(x[0]).all() and np.isfinite(x[1]).all()):
             raise ValueError(f"dd_matmul: operand {name} is not finite")
     delta = (53 - math.ceil(math.log2(max(k, 1) * (_N_SLICES + 1)))) // 2
-    b_slices = _slice_matrix(b, delta, axis=0)
-    b_extents = [_row_extents(s) for s in b_slices]
+    b_slices, b_extents = _slice_columns(b, delta)
     m, p = a[0].shape[0], b[0].shape[1]
     out = np.empty((m, p)), np.empty((m, p))
 
@@ -596,17 +631,21 @@ def _thermal_weights(beta, n_max):
     return dd_div(w, dd_sum(w, axis=0))
 
 
-def _bilinear(w, left, right):
-    """sum_jl left_j w_jl right_l for a complex dd matrix and vectors.
+def _bilinear(wa, wb, left, right):
+    """sum_jl left_j wa_jl wb_lj right_l for complex dd matrices and vectors.
 
-    The sums over l run on panels of _PANEL rows, shared by _share.
+    The sums over l run on panels of _PANEL rows, shared by _share.  A
+    panel forms only its own rows of wa o wb^T, so the whole elementwise
+    product is never built.
     """
-    n = w[0][0].shape[0]
+    n = wa[0][0].shape[0]
     rows = tuple((np.empty(n), np.empty(n)) for _ in range(2))
     right = _cdd_map(lambda x: x[None, :], right)
 
     def panel(r):
-        sums = cdd_sum(cdd_mul(_cdd_map(lambda x: x[r], w), right), axis=1)
+        w = cdd_mul(_cdd_map(lambda x: x[r], wa),
+                    _cdd_map(lambda x: x[:, r].T, wb))
+        sums = cdd_sum(cdd_mul(w, right), axis=1)
         for out, part in zip(rows, sums):
             out[0][r], out[1][r] = part
 
@@ -630,8 +669,7 @@ def s_free_x(lambda_m, lambda_n, beta, times, n_max, eigensystems=None):
     a_mat = _overlap(sys_m, sys_n, _thermal_weights(beta, n_max))
     b_mat = _overlap(sys_n, sys_m)
     # S = sum_jl pm_j A_jl B_lj pn_l
-    a_b = cdd_mul(a_mat, _cdd_map(np.transpose, b_mat))
-    return [_bilinear(a_b, _cis(dd_mul_f(sys_m[0], -t)),
+    return [_bilinear(a_mat, b_mat, _cis(dd_mul_f(sys_m[0], -t)),
                       _cis(dd_mul_f(sys_n[0], t))) for t in times]
 
 
@@ -641,8 +679,10 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
 
     The double-double form of ``fock.numeric_s_reversal``, Tr(P Q).  G12
     and G34 are real, so each time forms its two complex x real
-    products as four real dd matmuls.  The overlaps are built once per
-    call; ``eigensystems`` is shared as in s_free_x.
+    products as two real dd matmuls, the real and imaginary rows of the
+    complex factor stacked into one operand: the real factor is sliced
+    once per product.  The overlaps are built once per call;
+    ``eigensystems`` is shared as in s_free_x.
     """
     if eigensystems is None:
         eigensystems = {}
@@ -655,9 +695,25 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
     g41 = _overlap(systems[3], systems[0])
 
     def times_real(mat, col_phase, real):
-        """(mat D) @ real, D = diag(col_phase): one dd_matmul per part."""
-        scaled = cdd_mul(mat, _cdd_map(lambda x: x[None, :], col_phase))
-        return dd_matmul(scaled[0], real), dd_matmul(scaled[1], real)
+        """(mat D) @ real, D = diag(col_phase), in one dd_matmul.
+
+        Its left operand stacks the real rows of mat D over the
+        imaginary ones, each row panel formed in place; the top and
+        bottom halves of the product are its real and imaginary parts.
+        """
+        n = real[0].shape[0]
+        stacked = np.empty((2 * n, n)), np.empty((2 * n, n))
+        phase = _cdd_map(lambda x: x[None, :], col_phase)
+
+        def scale(rows):
+            re, im = cdd_mul(_cdd_map(lambda x: x[rows], mat), phase)
+            stacked[0][rows], stacked[1][rows] = re
+            below = slice(rows.start + n, rows.stop + n)
+            stacked[0][below], stacked[1][below] = im
+
+        _share(scale, _panels(n))
+        out = dd_matmul(stacked, real)
+        return (out[0][:n], out[1][:n]), (out[0][n:], out[1][n:])
 
     def trace(t_F, t_B):
         """Tr(P Q) at one time; its P and Q die before the next time's."""
@@ -668,7 +724,6 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
         p_mat = times_real(g_theta, p3, g34)
         q_mat = times_real(g41, p1, g12)
         # Tr(P Q) = sum_jl p2_j (G_theta D3 G34)_jl p4_l (G41 D1 G12)_lj
-        return _bilinear(cdd_mul(p_mat, _cdd_map(np.transpose, q_mat)),
-                         p2, p4)
+        return _bilinear(p_mat, q_mat, p2, p4)
 
     return [trace(t_F, t_B) for t_F, t_B in times]

@@ -356,6 +356,19 @@ def test_oracle_cutoff_past_limit_is_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_oracle_tol_too_small_fails_before_any_trace(capsys, monkeypatch):
+    # tol 1e-15 is fine for the first groups and too small for a later one
+    monkeypatch.setattr(cli.oracles.xprec, "tridiag_eigh_dd",
+                        lambda *_: pytest.fail("eigensystem built"))
+    monkeypatch.setattr(cli.oracles.fock.np.linalg, "eigh",
+                        lambda *_: pytest.fail("eigensystem built"))
+    assert run(["oracle", "fock", "--tol", "1e-15"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: --tol 1e-15: .*cutoff of \d+, above the "
+                        r"limit of 700\n", captured.err)
+
+
 def test_oracle_fock_progress_on_stderr(tmp_path, capsys):
     out = tmp_path / "oracle.json"
     assert run(["oracle", "fock", "--quick", "--out", str(out)]) == 0

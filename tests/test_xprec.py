@@ -478,8 +478,10 @@ def test_dd_matmul_count_real_pair(monkeypatch):
     calls = _count_dd_matmul(monkeypatch)
     pairs = [(0.5, 1.0), (1.0, 2.0), (0.2, 0.4)]
     xp.s_reversal_x(0.3, -0.3, 1.0, pairs, -0.5, 30)
-    # one product per overlap, all four real; four per time
-    assert len(calls) == 4 + 4 * len(pairs)
+    # one product per overlap, all four real; per time, one per complex
+    # x real product, its real and imaginary rows stacked
+    assert len(calls) == 4 + 2 * len(pairs)
+    assert calls[4:] == [(62, 31)] * (2 * len(pairs))
     calls.clear()
     xp.s_free_x(0.3, -0.3, 1.0, [0.5, 1.5], 30)
     assert len(calls) == 2
@@ -489,8 +491,9 @@ def test_dd_matmul_count_complex_pair(monkeypatch):
     calls = _count_dd_matmul(monkeypatch)
     pairs = [(0.5, 1.0), (1.0, 2.0), (0.2, 0.4)]
     xp.s_reversal_x(0.3, -0.2j, 1.0, pairs, -0.5, 30)
-    # G12 and G34 stay real; G_theta and G41 take at most two each
-    assert len(calls) <= 6 + 4 * len(pairs)
+    # G12 and G34 stay real; G_theta and G41, whose c_j are powers of
+    # +-i, take two each
+    assert len(calls) == 6 + 2 * len(pairs)
 
 
 def test_share_takes_every_panel_once_on_two_threads(monkeypatch):
@@ -544,18 +547,99 @@ def _same_bits(x, y):
 @pytest.mark.parametrize("m", [1, 65, 130])
 @pytest.mark.parametrize("banded", [True, False])
 def test_dd_matmul_bits_do_not_depend_on_threads(monkeypatch, m, banded):
-    # 65 and 130 rows leave a partial last panel
+    # 65 and 130 rows or columns leave a partial last panel
     rng = np.random.default_rng(37)
-    k, p = 140, 120
-    if banded:
-        a = _banded(rng, m, k, 4.0, 30, ())
-        b = _banded(rng, k, p, 4.0, 30, ())
-    else:
-        a = rng.standard_normal((m, k)), rng.standard_normal((m, k)) * 1e-18
-        b = rng.standard_normal((k, p)), rng.standard_normal((k, p)) * 1e-18
-    one, two = _on_one_and_two_threads(monkeypatch, xp.dd_matmul, a, b)
-    assert _same_bits(one, two)
-    assert _same_bits(one, _dense_dd_matmul(a, b))
+    k = 140
+    for p in (1, 63, 65, 130):
+        if banded:
+            a = _banded(rng, m, k, 4.0, 30, ())
+            b = _banded(rng, k, p, 4.0, 30, ())
+        else:
+            a = (rng.standard_normal((m, k)),
+                 rng.standard_normal((m, k)) * 1e-18)
+            b = (rng.standard_normal((k, p)),
+                 rng.standard_normal((k, p)) * 1e-18)
+        one, two = _on_one_and_two_threads(monkeypatch, xp.dd_matmul, a, b)
+        assert _same_bits(one, two)
+        assert _same_bits(one, _dense_dd_matmul(a, b))
+
+
+@pytest.mark.parametrize("p", [1, 63, 65, 130])
+def test_slice_columns_equals_whole_slicing(monkeypatch, p):
+    # B's slices and their row extents, formed per column panel, equal
+    # those of the whole matrix; at p = 130 some rows of B have all their
+    # nonzeros in the second panel, and zero rows have extent (p, 0)
+    rng = np.random.default_rng(43)
+    k, delta = 140, 20
+    b = _banded(rng, k, p, 4.0, 30, (1,))
+    if p == 130:
+        first, last = xp._row_extents(b[0])
+        assert np.any((first >= xp._PANEL) & (last <= 2 * xp._PANEL))
+    slices = xp._slice_matrix(b, delta, axis=0)
+    extents = [xp._row_extents(s) for s in slices]
+    assert any(np.any(last == 0) for _, last in extents)
+    for got, got_extents in _on_one_and_two_threads(
+            monkeypatch, xp._slice_columns, b, delta):
+        assert _same_bits(got, slices)
+        for (first, last), (want_first, want_last) in zip(
+                got_extents, extents, strict=True):
+            assert np.array_equal(first, want_first)
+            assert np.array_equal(last, want_last)
+
+
+def test_stacked_product_equals_separate_products(monkeypatch):
+    # per time, s_reversal_x stacks the real rows of G D over the
+    # imaginary ones; 2 x 151 rows put both parts in one 64-row panel
+    n = 151
+    operands = []
+    matmul = xp.dd_matmul
+
+    def captured(a, b):
+        operands.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(xp, "dd_matmul", captured)
+    monkeypatch.setattr(xp, "_THREADS", 2)
+    xp.s_reversal_x(0.3, -0.2j, 1.0, [(0.5, 1.0)], -0.5, n - 1)
+    monkeypatch.undo()
+    stacked = [(a, b) for a, b in operands if a[0].shape == (2 * n, n)]
+    assert len(stacked) == 2
+    for a, b in stacked:
+        whole = xp.dd_matmul(a, b)
+        for half in (slice(0, n), slice(n, 2 * n)):
+            part = xp.dd_matmul((a[0][half], a[1][half]), b)
+            assert _same_bits(part, (whole[0][half], whole[1][half]))
+
+
+def _bilinear_whole(wa, wb, left, right):
+    # _bilinear with wa o wb^T and its product by right formed whole
+    w = xp.cdd_mul(wa, xp._cdd_map(np.transpose, wb))
+    rows = xp.cdd_sum(xp.cdd_mul(w, xp._cdd_map(lambda x: x[None, :], right)),
+                      axis=1)
+    return xp.cdd_to_complex(xp.cdd_sum(xp.cdd_mul(rows, left), axis=0))
+
+
+@pytest.mark.parametrize("complex_a, complex_b", [(False, False),
+                                                  (True, False),
+                                                  (False, True),
+                                                  (True, True)])
+def test_bilinear_equals_whole_matrix_product(monkeypatch, complex_a,
+                                              complex_b):
+    rng = np.random.default_rng(41)
+    n = 130  # two full panels and a partial one
+
+    def dd_array(*shape):
+        return rng.standard_normal(shape), rng.standard_normal(shape) * 1e-17
+
+    def factor(is_complex):
+        return dd_array(n, n), dd_array(n, n) if is_complex else None
+
+    wa, wb = factor(complex_a), factor(complex_b)
+    left, right = (dd_array(n), dd_array(n)), (dd_array(n), dd_array(n))
+    want = _bilinear_whole(wa, wb, left, right)
+    for got in _on_one_and_two_threads(monkeypatch, xp._bilinear, wa, wb,
+                                       left, right):
+        assert _same_bits((got.real, got.imag), (want.real, want.imag))
 
 
 def test_tridiag_eigh_dd_bits_do_not_depend_on_threads(monkeypatch):
