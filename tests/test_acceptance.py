@@ -77,7 +77,7 @@ def test_criterion_05_fock_oracle_equivalence():
 
     Free and reversal (f_B = -1/2, t_B = 2 t_F) decoherence functions
     over the documented lambda/beta/time grid; strongly decohered
-    points run on the double-double engine.  Runtime 6-8 s on a 2-CPU
+    points run on the double-double engine.  Runtime 5-7 s on a 2-CPU
     machine.
     """
     report = oracles.fock_suite(tol=1e-8)
