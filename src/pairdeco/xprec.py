@@ -330,25 +330,28 @@ def _slice_matrix(x, delta, axis):
 
     ``axis`` is the inner (contracted) dimension.  Each row of the left
     operand (column of the right) takes e from its largest |hi|, with
-    max < 2**e, and keeps it for every slice: slice i is the residual
-    rounded by (r + sigma_i) - sigma_i, sigma_i = 2**(e - i*delta + 53 -
-    delta), an exact extraction.  Slice i is thus an integer multiple of
-    2**(e + 1 - (i + 1)*delta) and at most 2**(e - i*delta) in
-    magnitude: at most delta bits on a unit that depends only on e and
-    i.  The slices leave about 2**(e - _N_SLICES*delta) at most, unformed.
+    max < 2**e, and is scaled by 2**-e, which is exact; the scaled row's
+    largest |hi| lies in [1/2, 1).  Slice i is the scaled residual
+    rounded by (r + sigma_i) - sigma_i, sigma_i = 2**(53 - (i +
+    1)*delta), an exact extraction.  Slice i is thus an integer multiple
+    of 2**(1 - (i + 1)*delta) and at most 2**(-i*delta) in magnitude: at
+    most delta bits on a unit that depends only on i, far above
+    float64's underflow threshold whatever e is.  The slices leave about
+    2**(-_N_SLICES*delta) at most, unformed.  Returns the slices and e,
+    with the reduced axis kept.
     """
     mu = np.max(np.abs(x[0]), axis=axis, keepdims=True)
     _, expo = np.frexp(mu)  # mu < 2**expo
-    r = x
+    r = np.ldexp(x[0], -expo), np.ldexp(x[1], -expo)
     slices = []
     for i in range(_N_SLICES):
         if slices:
             # the previous slice is r[0] rounded to a multiple of
-            # 2**(expo + 1 - i*delta), so r[0] minus it is exact
+            # 2**(1 - i*delta), so r[0] minus it is exact
             r = _fast_two_sum(r[0] - slices[-1], r[1])
-        sigma = np.ldexp(1.0, expo + (53 - (i + 1) * delta))
+        sigma = 2.0 ** (53 - (i + 1) * delta)
         slices.append((r[0] + sigma) - sigma)
-    return slices
+    return slices, expo
 
 
 def _row_extents(s):
@@ -364,12 +367,14 @@ def _slice_columns(b, delta):
     """_slice_matrix(b, delta, axis=0) and the _row_extents of each slice.
 
     Formed one panel of _PANEL columns at a time, shared by _share: a
-    column's slices depend on that column alone.  Each panel writes its
-    columns of the slices and finds its rows' nonzero columns; the
-    panels' extents are then merged by min and max.
+    column's slices and exponent depend on that column alone.  Each
+    panel writes its columns of the slices and exponents and finds its
+    rows' nonzero columns; the panels' extents are then merged by min
+    and max.  Returns the slices, the exponents and the extents.
     """
     k, p = b[0].shape
     slices = np.empty((_N_SLICES, k, p))
+    expo = np.empty((1, p), dtype=np.intc)
     col_panels = _panels(p)
     # per panel and slice, each row's first and one-past-last nonzero
     # column, (p, 0) if the panel has none
@@ -378,8 +383,9 @@ def _slice_columns(b, delta):
 
     def panel(cols):
         index = cols.start // _PANEL
-        for i, s in enumerate(_slice_matrix((b[0][:, cols], b[1][:, cols]),
-                                            delta, axis=0)):
+        col_slices, expo[:, cols] = _slice_matrix(
+            (b[0][:, cols], b[1][:, cols]), delta, axis=0)
+        for i, s in enumerate(col_slices):
             slices[i][:, cols] = s
             first, last = _row_extents(s)
             nonzero = last > 0
@@ -387,23 +393,27 @@ def _slice_columns(b, delta):
             lasts[index, i] = np.where(nonzero, last + cols.start, 0)
 
     _share(panel, col_panels)
-    return slices, list(zip(firsts.min(axis=0), lasts.max(axis=0)))
+    return slices, expo, list(zip(firsts.min(axis=0), lasts.max(axis=0)))
 
 
 def dd_matmul(a, b):
     """C = A @ B for double-double matrices, accurate to ~1e-30 relative.
 
     Each operand is sliced on one exponent ladder per row of A and per
-    column of B (_slice_matrix).  Products of slices i, j with
-    i + j > _N_SLICES lie below the target precision and are skipped;
-    the other 26 are summed per level i + j in float64, and each of the
-    _N_SLICES + 1 level sums is added once into the double-double
-    result, smallest level first.
+    column of B (_slice_matrix), each row or column scaled by 2**-e to a
+    largest |hi| in [1/2, 1).  Entry (r, c) of the result is formed
+    from the scaled operands and scaled back by 2**(e_r + e_c), so the
+    slices and their products never come near float64's underflow
+    threshold, where they would stop being exact.  Products of slices
+    i, j with i + j > _N_SLICES lie below the target precision and are
+    skipped; the other 26 are summed per level i + j in float64, and
+    each of the _N_SLICES + 1 level sums is added once into the
+    double-double result, smallest level first.
 
     A level sum is exact.  Entry (r, c) of a level-L product is a sum of
-    k terms, each an integer multiple of u = 2**(e_r + e_c + 2 -
-    (L + 2)*delta) and at most 2**(2*delta - 2)*u in magnitude, and a
-    level holds fewer than _N_SLICES + 1 products.  With
+    k terms, each an integer multiple of u = 2**(2 - (L + 2)*delta) and
+    at most 2**(2*delta - 2)*u in magnitude, and a level holds fewer
+    than _N_SLICES + 1 products.  With
     delta = floor((53 - ceil(log2(k*(_N_SLICES + 1))))/2) every partial
     sum, in BLAS or across the level, is a multiple of u below 2**53*u
     and so a float64.  The skipped levels and the slices' remainders
@@ -434,12 +444,13 @@ def dd_matmul(a, b):
         if not (np.isfinite(x[0]).all() and np.isfinite(x[1]).all()):
             raise ValueError(f"dd_matmul: operand {name} is not finite")
     delta = (53 - math.ceil(math.log2(max(k, 1) * (_N_SLICES + 1)))) // 2
-    b_slices, b_extents = _slice_columns(b, delta)
+    b_slices, b_expo, b_extents = _slice_columns(b, delta)
     m, p = a[0].shape[0], b[0].shape[1]
     out = np.empty((m, p)), np.empty((m, p))
 
     def panel(rows):
-        a_slices = _slice_matrix((a[0][rows], a[1][rows]), delta, axis=1)
+        a_slices, a_expo = _slice_matrix((a[0][rows], a[1][rows]), delta,
+                                         axis=1)
         # the panel's nonzero columns [k0, k1) per slice of A
         a_spans = [(first.min(), last.max())
                    for first, last in map(_row_extents, a_slices)]
@@ -457,7 +468,9 @@ def dd_matmul(a, b):
                 if c0 < c1:
                     level_sum[:, c0:c1] += a_s[:, k0:k1] @ b_s[k0:k1, c0:c1]
             acc = _dd_add_f(acc, level_sum)
-        out[0][rows], out[1][rows] = acc
+        scale = a_expo + b_expo
+        out[0][rows], out[1][rows] = (np.ldexp(acc[0], scale),
+                                      np.ldexp(acc[1], scale))
 
     _share(panel, _panels(m))
     return out

@@ -5,7 +5,8 @@ import threading
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 
 from pairdeco import fock, oracles, xprec as xp
 from pairdeco.core import ConfigError
@@ -199,14 +200,14 @@ def _dense_dd_matmul(a, b):
     # dd_matmul's level loop with every slice product formed in full
     n_slices, k = xp._N_SLICES, a[0].shape[1]
     delta = (53 - math.ceil(math.log2(k * (n_slices + 1)))) // 2
-    a_s = xp._slice_matrix(a, delta, axis=1)
-    b_s = xp._slice_matrix(b, delta, axis=0)
+    a_s, a_expo = xp._slice_matrix(a, delta, axis=1)
+    b_s, b_expo = xp._slice_matrix(b, delta, axis=0)
     acc = xp.dd(np.zeros((a[0].shape[0], b[0].shape[1])))
     for level in range(n_slices, -1, -1):
         pairs = range(max(0, level - n_slices + 1),
                       min(level, n_slices - 1) + 1)
         acc = xp._dd_add_f(acc, sum(a_s[i] @ b_s[level - i] for i in pairs))
-    return acc
+    return tuple(np.ldexp(x, a_expo + b_expo) for x in acc)
 
 
 def _assert_equals_dense(a, b):
@@ -233,12 +234,32 @@ def _banded(rng, rows, cols, width, cutoff, zero_blocks):
        st.integers(0, 2**32 - 1), st.floats(0.5, 80.0), st.floats(0.5, 80.0),
        st.integers(0, 200), st.sets(st.integers(0, 3), max_size=3),
        st.sets(st.integers(0, 3), max_size=3))
+# columns of B whose entries, and so the slices' units, lie near 1e-294
+@example(119, 193, 193, 0, 1.0, 1.0, 27, set(), {1})
+@example(2, 151, 93, 1, 4.0, 2.0, 52, set(), {1, 2})
+@example(150, 113, 59, 2, 2.0, 1.0, 26, set(), {1})
 def test_dd_matmul_banded_equals_dense(m, k, p, seed, width_a, width_b,
                                        cutoff, zero_a, zero_b):
     rng = np.random.default_rng(seed)
     a = _banded(rng, m, k, width_a, cutoff, zero_a)
     b = _banded(rng, k, p, width_b, cutoff, zero_b)
     _assert_equals_dense(a, b)
+
+
+def test_dd_matmul_bits_scale_with_operands():
+    # scaling rows of A and columns of B by powers of two scales the
+    # result alone, here to entries near 2**-1000 with subnormal low
+    # parts, whose slice products on an unscaled ladder would underflow
+    rng = np.random.default_rng(47)
+    m, k, p = 70, 90, 80
+    a = rng.standard_normal((m, k)), rng.standard_normal((m, k)) * 1e-17
+    b = rng.standard_normal((k, p)), rng.standard_normal((k, p)) * 1e-17
+    row_e = rng.integers(-540, -480, (m, 1))
+    col_e = rng.integers(-520, -470, (1, p))
+    scaled = xp.dd_matmul(tuple(np.ldexp(x, row_e) for x in a),
+                          tuple(np.ldexp(x, col_e) for x in b))
+    want = tuple(np.ldexp(x, row_e + col_e) for x in xp.dd_matmul(a, b))
+    assert _same_bits(scaled, want)
 
 
 @pytest.mark.parametrize("m, k, p, zero", [(70, 90, 50, "a"),
@@ -575,12 +596,13 @@ def test_slice_columns_equals_whole_slicing(monkeypatch, p):
     if p == 130:
         first, last = xp._row_extents(b[0])
         assert np.any((first >= xp._PANEL) & (last <= 2 * xp._PANEL))
-    slices = xp._slice_matrix(b, delta, axis=0)
+    slices, expo = xp._slice_matrix(b, delta, axis=0)
     extents = [xp._row_extents(s) for s in slices]
     assert any(np.any(last == 0) for _, last in extents)
-    for got, got_extents in _on_one_and_two_threads(
+    for got, got_expo, got_extents in _on_one_and_two_threads(
             monkeypatch, xp._slice_columns, b, delta):
         assert _same_bits(got, slices)
+        assert np.array_equal(got_expo, expo)
         for (first, last), (want_first, want_last) in zip(
                 got_extents, extents, strict=True):
             assert np.array_equal(first, want_first)
