@@ -33,6 +33,15 @@ with its own glibc malloc arena, raise the peak resident set.  And it
 calls none of s_free_x, s_reversal_x, tridiag_eigh_dd and dd_matmul,
 so a tracer that wraps them, as perfbench's does with one span stack,
 sees every span on the calling thread.
+
+The matrices are Franck-Condon bands: in one grid-verify pass 67-75%
+of the entries of each overlap and 56-67% of each stacked echo product
+are exact zeros, and the eigenvectors' far tails lie below the last
+slice.  dd_matmul's slicing, products and level sums, tridiag_eigh_dd's
+normalization, projection and correction, and _bilinear's products
+work on each panel's nonzero window alone and give the bits of the
+whole-width passes; sums whose pairing depends on the length run over
+the whole length, zeros embedded.
 """
 
 from __future__ import annotations
@@ -325,23 +334,21 @@ def _dd_add_f(x, p):
     return _fast_two_sum(s, e + x[1])
 
 
-def _slice_matrix(x, delta, axis):
-    """Split a dd matrix into float64 slices on one exponent ladder.
+def _slice_matrix(x, expo, delta):
+    """Split a dd matrix, scaled by 2**-expo, into float64 slices.
 
-    ``axis`` is the inner (contracted) dimension.  Each row of the left
-    operand (column of the right) takes e from its largest |hi|, with
-    max < 2**e, and is scaled by 2**-e, which is exact; the scaled row's
-    largest |hi| lies in [1/2, 1).  Slice i is the scaled residual
-    rounded by (r + sigma_i) - sigma_i, sigma_i = 2**(53 - (i +
-    1)*delta), an exact extraction.  Slice i is thus an integer multiple
-    of 2**(1 - (i + 1)*delta) and at most 2**(-i*delta) in magnitude: at
-    most delta bits on a unit that depends only on i, far above
-    float64's underflow threshold whatever e is.  The slices leave about
-    2**(-_N_SLICES*delta) at most, unformed.  Returns the slices and e,
-    with the reduced axis kept.
+    ``expo`` holds e for each row of a left operand (column of a right
+    one), with the largest |hi| of the row below 2**e; scaling by 2**-e
+    is exact, and the scaled row's largest |hi| lies in [1/2, 1).  Slice
+    i is the scaled residual rounded by (r + sigma_i) - sigma_i, sigma_i
+    = 2**(53 - (i + 1)*delta), an exact extraction.  Slice i is thus an
+    integer multiple of 2**(1 - (i + 1)*delta) and at most 2**(-i*delta)
+    in magnitude: at most delta bits on a unit that depends only on i,
+    far above float64's underflow threshold whatever e is.  The slices
+    leave about 2**(-_N_SLICES*delta) at most, unformed.  Each entry's
+    slices depend on that entry and its e alone, so a window of the
+    matrix slices to the same bits as the whole.
     """
-    mu = np.max(np.abs(x[0]), axis=axis, keepdims=True)
-    _, expo = np.frexp(mu)  # mu < 2**expo
     r = np.ldexp(x[0], -expo), np.ldexp(x[1], -expo)
     slices = []
     for i in range(_N_SLICES):
@@ -351,7 +358,50 @@ def _slice_matrix(x, delta, axis):
             r = _fast_two_sum(r[0] - slices[-1], r[1])
         sigma = 2.0 ** (53 - (i + 1) * delta)
         slices.append((r[0] + sigma) - sigma)
-    return slices, expo
+    return slices
+
+
+def _window(live):
+    """First and one-past-last set index of a 1-D mask; (0, 0) if none."""
+    where = np.flatnonzero(live)
+    return (int(where[0]), int(where[-1]) + 1) if where.size else (0, 0)
+
+
+def _band(*xs):
+    """The rows outside which all of the 2-D arrays are zero, as a slice."""
+    return slice(*_window(np.logical_or.reduce([(x != 0).any(axis=1)
+                                                for x in xs])))
+
+
+def _embed(x, index, shape):
+    """x at ``index`` of a zero array of ``shape``; x itself if it fills it."""
+    if x.shape == shape:
+        return x
+    out = np.zeros(shape)
+    out[index] = x
+    return out
+
+
+def _slice_window(x, delta, axis):
+    """_slice_matrix of a dd panel over the window that holds its slices.
+
+    ``axis`` is the inner (contracted) dimension; each row of a left
+    operand (column of a right one) takes e from its largest |hi|.  The
+    window is the stretch of ``axis`` that holds every entry with |hi| >=
+    2**(e - (_N_SLICES*delta + 2)).  Any smaller entry, with |lo| <= |hi|
+    as a normalized pair has, scales to |r| < 2**(-_N_SLICES*delta - 1),
+    half the unit of the last slice in the binade just below its sigma,
+    and so is +0 in every slice.  The bound depends on delta: a fixed
+    one would cut slices at one k and keep dead entries at another.
+    Returns the window's slices, the exponents and the window, a slice.
+    """
+    mag = np.abs(x[0])
+    _, expo = np.frexp(np.max(mag, axis=axis, keepdims=True))  # max < 2**e
+    live = mag >= np.ldexp(1.0, expo - (_N_SLICES * delta + 2))
+    window = slice(*_window(live.any(axis=1 - axis)))
+    index = (slice(None), window) if axis else window
+    return (_slice_matrix((x[0][index], x[1][index]), expo, delta), expo,
+            window)
 
 
 def _row_extents(s):
@@ -364,39 +414,41 @@ def _row_extents(s):
 
 
 def _slice_columns(b, delta):
-    """_slice_matrix(b, delta, axis=0) and the _row_extents of each slice.
+    """Slices, exponents and per-slice _row_extents of a right operand b.
 
     Formed one panel of _PANEL columns at a time, shared by _share: a
     column's slices and exponent depend on that column alone.  Each
-    panel writes its columns of the slices and exponents and finds its
-    rows' nonzero columns; the panels' extents are then merged by min
-    and max.  Returns the slices, the exponents and the extents.
+    panel slices only its window of rows (_slice_window), writes those
+    rows of its columns of the slices, which are +0 elsewhere, and finds
+    the window rows' nonzero columns; rows outside the window have none.
+    The panels' extents are then merged by min and max.  Returns the
+    slices, the exponents and the extents.
     """
     k, p = b[0].shape
-    slices = np.empty((_N_SLICES, k, p))
+    slices = np.zeros((_N_SLICES, k, p))
     expo = np.empty((1, p), dtype=np.intc)
     col_panels = _panels(p)
     # per panel and slice, each row's first and one-past-last nonzero
     # column, (p, 0) if the panel has none
-    firsts = np.empty((len(col_panels), _N_SLICES, k), dtype=np.intp)
-    lasts = np.empty_like(firsts)
+    firsts = np.full((len(col_panels), _N_SLICES, k), p, dtype=np.intp)
+    lasts = np.zeros_like(firsts)
 
     def panel(cols):
         index = cols.start // _PANEL
-        col_slices, expo[:, cols] = _slice_matrix(
+        col_slices, expo[:, cols], rows = _slice_window(
             (b[0][:, cols], b[1][:, cols]), delta, axis=0)
         for i, s in enumerate(col_slices):
-            slices[i][:, cols] = s
+            slices[i][rows, cols] = s
             first, last = _row_extents(s)
             nonzero = last > 0
-            firsts[index, i] = np.where(nonzero, first + cols.start, p)
-            lasts[index, i] = np.where(nonzero, last + cols.start, 0)
+            firsts[index, i, rows] = np.where(nonzero, first + cols.start, p)
+            lasts[index, i, rows] = np.where(nonzero, last + cols.start, 0)
 
     _share(panel, col_panels)
     return slices, expo, list(zip(firsts.min(axis=0), lasts.max(axis=0)))
 
 
-def dd_matmul(a, b):
+def dd_matmul(a, b, out=None):
     """C = A @ B for double-double matrices, accurate to ~1e-30 relative.
 
     Each operand is sliced on one exponent ladder per row of A and per
@@ -427,15 +479,22 @@ def dd_matmul(a, b):
     time, into that panel's rows of the result.  A row's slices depend
     on that row alone and a column's on that column, so each output
     entry takes the same float64 operations in the same order whichever
-    panel or thread forms it.
+    panel or thread forms it.  A panel reads its rows of A before it
+    writes the same rows of the result, so ``out`` may be A itself, as
+    in s_reversal_x; else a new pair is returned.
 
-    Slice products skip exact-zero stretches: slice i of a panel
-    multiplies only its nonzero columns [k0, k1) into the columns
-    [c0, c1) where rows k0:k1 of slice j of B are nonzero.  All other
-    terms are exact zeros, and as every partial sum is exact, leaving
-    them out changes no bit but perhaps a zero's sign.  Non-finite
-    operands raise ValueError, as skipping would leave part of a NaN
-    row finite.
+    The work stays inside the Franck-Condon band.  Each panel is sliced
+    only over the window of the contracted axis outside which every
+    slice is +0 (_slice_window).  Slice i of a panel multiplies only its
+    nonzero columns [k0, k1) into the columns [c0, c1) where rows k0:k1
+    of slice j of B are nonzero.  Each level is added over the running
+    union of the columns of all levels so far, so a column, once
+    formed, takes every later level, zero or not, as in the whole
+    product.  Only that union is scaled back; the rest of the panel's
+    rows is +0.  All other terms are exact zeros, and as every partial
+    sum is exact, leaving them out changes no bit but perhaps a zero's
+    sign.  Non-finite operands raise ValueError, as skipping would
+    leave part of a NaN row finite.
     """
     k = a[0].shape[1]
     if b[0].shape[0] != k:
@@ -446,31 +505,42 @@ def dd_matmul(a, b):
     delta = (53 - math.ceil(math.log2(max(k, 1) * (_N_SLICES + 1)))) // 2
     b_slices, b_expo, b_extents = _slice_columns(b, delta)
     m, p = a[0].shape[0], b[0].shape[1]
-    out = np.empty((m, p)), np.empty((m, p))
+    if out is None:
+        out = np.empty((m, p)), np.empty((m, p))
 
     def panel(rows):
-        a_slices, a_expo = _slice_matrix((a[0][rows], a[1][rows]), delta,
-                                         axis=1)
+        a_slices, a_expo, window = _slice_window((a[0][rows], a[1][rows]),
+                                                 delta, axis=1)
         # the panel's nonzero columns [k0, k1) per slice of A
-        a_spans = [(first.min(), last.max())
-                   for first, last in map(_row_extents, a_slices)]
+        a_spans = [np.add(_window((s != 0.0).any(axis=0)), window.start)
+                   for s in a_slices]
         acc = dd(np.zeros((a_slices[0].shape[0], p)))
+        u0, u1 = p, 0  # the union of the columns formed so far
         for level in range(_N_SLICES, -1, -1):
-            level_sum = np.zeros_like(acc[0])
+            terms = []
             for i in range(max(0, level - _N_SLICES + 1),
                            min(level, _N_SLICES - 1) + 1):
-                a_s, (k0, k1) = a_slices[i], a_spans[i]
-                b_s, (b_first, b_last) = (b_slices[level - i],
-                                          b_extents[level - i])
+                k0, k1 = a_spans[i]
+                b_first, b_last = b_extents[level - i]
                 if k0 >= k1:
                     continue
                 c0, c1 = b_first[k0:k1].min(), b_last[k0:k1].max()
                 if c0 < c1:
-                    level_sum[:, c0:c1] += a_s[:, k0:k1] @ b_s[k0:k1, c0:c1]
-            acc = _dd_add_f(acc, level_sum)
-        scale = a_expo + b_expo
-        out[0][rows], out[1][rows] = (np.ldexp(acc[0], scale),
-                                      np.ldexp(acc[1], scale))
+                    terms.append((i, k0, k1, c0, c1))
+                    u0, u1 = min(u0, c0), max(u1, c1)
+            if u0 >= u1:
+                continue
+            level_sum = np.zeros((acc[0].shape[0], u1 - u0))
+            for i, k0, k1, c0, c1 in terms:
+                level_sum[:, c0 - u0:c1 - u0] += (
+                    a_slices[i][:, k0 - window.start:k1 - window.start]
+                    @ b_slices[level - i][k0:k1, c0:c1])
+            acc[0][:, u0:u1], acc[1][:, u0:u1] = _dd_add_f(
+                (acc[0][:, u0:u1], acc[1][:, u0:u1]), level_sum)
+        scale = a_expo + b_expo[:, u0:u1]
+        for x, part in zip(out, acc):
+            x[rows] = 0.0
+            x[rows, u0:u1] = np.ldexp(part[:, u0:u1], scale)
 
     _share(panel, _panels(m))
     return out
@@ -484,8 +554,14 @@ def dd_transpose(x):
 # symmetric tridiagonal eigensystems in double-double
 # ---------------------------------------------------------------------------
 
-def _normalize_columns(v):
-    norm2 = dd_sum(dd_mul(v, v), axis=0)
+def _normalize_columns(v, band, n):
+    """Rows ``band`` of n-row columns, zero elsewhere, scaled to unit norm.
+
+    The squares are summed over all n rows, the band's embedded in
+    zeros, as dd_sum's pairing depends on the length.
+    """
+    norm2 = dd_sum(tuple(_embed(x, band, (n, x.shape[1]))
+                         for x in dd_mul(v, v)), axis=0)
     inv = dd_div(dd(np.ones_like(norm2[0])), dd_sqrt(norm2))
     return dd_mul(v, (inv[0][None, :], inv[1][None, :]))
 
@@ -527,11 +603,22 @@ def tridiag_eigh_dd(diag_dd, off_dd):
     the whole matrix, on the calling thread.  The rest runs on panels of
     _PANEL columns, shared by _share between this thread and a worker,
     in passes that each finish before the next begins: one normalizes
-    the seed in place; per step, one forms the panel's columns of R and
+    the seed into V; per step, one forms the panel's columns of R and
     C, and one adds V_hi F to the panel's columns of a new V, reading
     the old V, and normalizes them.  A panel allocates only
     panel-sized arrays, and a column's operations do not depend on the
     panel or thread that holds it.
+
+    The eigenvectors are Franck-Condon bands.  At n = 545 the nonzero
+    rows of a panel of the float64 seed cover 30-43% of its rows on
+    average, and 65-90% after the first step.  Each pass works on the
+    panel's nonzero row band (_band) and leaves +0 outside it, which is
+    what the whole-column arithmetic gives a zero entry; R takes one
+    more row on each side, where T reaches out of the band.  The
+    float64 products V_hi^T R and V_hi F stay whole, R embedded in
+    zeros, as BLAS's summation order may depend on the shapes; so does
+    the norms' dd_sum (_normalize_columns).  The results have the bits
+    of the whole-column passes.
 
     Returns (eigenvalues dd (n,) ascending, eigenvectors dd (n, n) as
     columns).
@@ -544,23 +631,29 @@ def tridiag_eigh_dd(diag_dd, off_dd):
     e0, v0 = np.linalg.eigh(t64)
     gap = e0[None, :] - e0[:, None]  # lambda_j - lambda_k at (k, j)
     np.fill_diagonal(gap, np.inf)
-    eigvals, v = dd(e0), dd(v0)
+    eigvals = dd(e0)
+    v = np.zeros((n, n)), np.zeros((n, n))
     panels = _panels(n)
 
     def normalize(cols):
-        v[0][:, cols], v[1][:, cols] = _normalize_columns(
-            (v[0][:, cols], v[1][:, cols]))
+        band = _band(v0[:, cols])
+        v[0][band, cols], v[1][band, cols] = _normalize_columns(
+            dd(v0[band, cols]), band, n)
 
     _share(normalize, panels)
     for step in range(2):
         c = np.empty((n, n))
 
         def project(cols):
-            v_p = v[0][:, cols], v[1][:, cols]
-            res = dd_sub(_tridiag_times(diag_dd, off_dd, v_p),
+            band = _band(v[0][:, cols])
+            rows = slice(max(band.start - 1, 0), min(band.stop + 1, n))
+            v_p = v[0][rows, cols], v[1][rows, cols]
+            t_rows = (tuple(x[rows] for x in diag_dd),
+                      tuple(x[rows.start:rows.stop - 1] for x in off_dd))
+            res = dd_sub(_tridiag_times(*t_rows, v_p),
                          dd_mul((eigvals[0][None, cols],
                                  eigvals[1][None, cols]), v_p))
-            c[:, cols] = v[0].T @ res[0]
+            c[:, cols] = v[0].T @ _embed(res[0], rows, (n, res[0].shape[1]))
 
         _share(project, panels)
         eigvals = _dd_add_f(eigvals, np.diag(c))
@@ -570,11 +663,14 @@ def tridiag_eigh_dd(diag_dd, off_dd):
             raise ValueError("tridiag_eigh_dd: eigenvalues too close to "
                              "refine, smallest seed gap "
                              f"{np.min(np.diff(e0)):.3g}")
-        new = np.empty((n, n)), np.empty((n, n))
+        new = np.zeros((n, n)), np.zeros((n, n))
 
         def correct(cols):
-            new[0][:, cols], new[1][:, cols] = _normalize_columns(_dd_add_f(
-                (v[0][:, cols], v[1][:, cols]), v[0] @ f[:, cols]))
+            step_f = v[0] @ f[:, cols]
+            band = _band(v[0][:, cols], step_f)
+            new[0][band, cols], new[1][band, cols] = _normalize_columns(
+                _dd_add_f((v[0][band, cols], v[1][band, cols]),
+                          step_f[band]), band, n)
 
         _share(correct, panels)
         v = new
@@ -648,17 +744,29 @@ def _bilinear(wa, wb, left, right):
     """sum_jl left_j wa_jl wb_lj right_l for complex dd matrices and vectors.
 
     The sums over l run on panels of _PANEL rows, shared by _share.  A
-    panel forms only its own rows of wa o wb^T, so the whole elementwise
-    product is never built.
+    panel forms its own rows of wa o wb^T and their product with right
+    only over the columns l where both its rows of wa and its columns of
+    wb can be nonzero (a zero hi has a zero lo, as in any normalized
+    pair), and embeds them in zeros for the row sums, whose pairwise
+    dd_sum depends on the length.  A zero term changes no sum with a
+    nonzero hi, so the result has the bits of the whole product but
+    perhaps a zero's sign.
     """
     n = wa[0][0].shape[0]
     rows = tuple((np.empty(n), np.empty(n)) for _ in range(2))
-    right = _cdd_map(lambda x: x[None, :], right)
 
     def panel(r):
-        w = cdd_mul(_cdd_map(lambda x: x[r], wa),
-                    _cdd_map(lambda x: x[:, r].T, wb))
-        sums = cdd_sum(cdd_mul(w, right), axis=1)
+        # the nonzero columns of wa's rows r and rows of wb's columns r
+        a_cols = _band(*(x[0][r].T for x in wa if x is not None))
+        b_cols = _band(*(x[0][:, r] for x in wb if x is not None))
+        cols = slice(max(a_cols.start, b_cols.start),
+                     min(a_cols.stop, b_cols.stop))
+        w = cdd_mul(_cdd_map(lambda x: x[r, cols], wa),
+                    _cdd_map(lambda x: x[cols, r].T, wb))
+        terms = cdd_mul(w, _cdd_map(lambda x: x[None, cols], right))
+        sums = cdd_sum(_cdd_map(lambda x: _embed(x, (slice(None), cols),
+                                                 (x.shape[0], n)), terms),
+                       axis=1)
         for out, part in zip(rows, sums):
             out[0][r], out[1][r] = part
 
@@ -693,8 +801,9 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
     The double-double form of ``fock.numeric_s_reversal``, Tr(P Q).  G12
     and G34 are real, so each time forms its two complex x real
     products as two real dd matmuls, the real and imaginary rows of the
-    complex factor stacked into one operand: the real factor is sliced
-    once per product.  The overlaps are built once per call;
+    complex factor stacked into one operand, which the product then
+    overwrites: the real factor is sliced once per product.  The
+    overlaps are built once per call;
     ``eigensystems`` is shared as in s_free_x.
     """
     if eigensystems is None:
@@ -711,8 +820,9 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
         """(mat D) @ real, D = diag(col_phase), in one dd_matmul.
 
         Its left operand stacks the real rows of mat D over the
-        imaginary ones, each row panel formed in place; the top and
-        bottom halves of the product are its real and imaginary parts.
+        imaginary ones, each row panel formed in place, and the product
+        is written over it; its top and bottom halves are the real and
+        imaginary parts.
         """
         n = real[0].shape[0]
         stacked = np.empty((2 * n, n)), np.empty((2 * n, n))
@@ -725,8 +835,9 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
             stacked[0][below], stacked[1][below] = im
 
         _share(scale, _panels(n))
-        out = dd_matmul(stacked, real)
-        return (out[0][:n], out[1][:n]), (out[0][n:], out[1][n:])
+        dd_matmul(stacked, real, out=stacked)
+        return ((stacked[0][:n], stacked[1][:n]),
+                (stacked[0][n:], stacked[1][n:]))
 
     def trace(t_F, t_B):
         """Tr(P Q) at one time; its P and Q die before the next time's."""

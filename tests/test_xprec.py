@@ -196,12 +196,22 @@ def test_dd_matmul_level_sums_at_exactness_edge(k):
             assert err < 1e-28 * abs(expected), (i, j)
 
 
+def _delta(k):
+    return (53 - math.ceil(math.log2(k * (xp._N_SLICES + 1)))) // 2
+
+
+def _whole_slices(x, delta, axis):
+    # every entry sliced, on its row's (axis 1) or column's (axis 0) ladder
+    _, expo = np.frexp(np.max(np.abs(x[0]), axis=axis, keepdims=True))
+    return xp._slice_matrix(x, expo, delta), expo
+
+
 def _dense_dd_matmul(a, b):
-    # dd_matmul's level loop with every slice product formed in full
-    n_slices, k = xp._N_SLICES, a[0].shape[1]
-    delta = (53 - math.ceil(math.log2(k * (n_slices + 1)))) // 2
-    a_s, a_expo = xp._slice_matrix(a, delta, axis=1)
-    b_s, b_expo = xp._slice_matrix(b, delta, axis=0)
+    # dd_matmul's level loop with whole matrices sliced and every slice
+    # product formed in full
+    n_slices, delta = xp._N_SLICES, _delta(a[0].shape[1])
+    a_s, a_expo = _whole_slices(a, delta, axis=1)
+    b_s, b_expo = _whole_slices(b, delta, axis=0)
     acc = xp.dd(np.zeros((a[0].shape[0], b[0].shape[1])))
     for level in range(n_slices, -1, -1):
         pairs = range(max(0, level - n_slices + 1),
@@ -352,6 +362,54 @@ def _gram_error(vectors):
     return np.max(np.abs(xp.dd_to_float(xp.dd_sub(gram, xp.dd(np.eye(n))))))
 
 
+def _normalize_whole(v):
+    norm2 = xp.dd_sum(xp.dd_mul(v, v), axis=0)
+    inv = xp.dd_div(xp.dd(np.ones_like(norm2[0])), xp.dd_sqrt(norm2))
+    return xp.dd_mul(v, (inv[0][None, :], inv[1][None, :]))
+
+
+def _tridiag_eigh_dd_whole(diag_dd, off_dd):
+    # tridiag_eigh_dd with every pass over whole columns, zeros included
+    n = diag_dd[0].shape[0]
+    t64 = np.diag(xp.dd_to_float(diag_dd))
+    e64 = xp.dd_to_float(off_dd)
+    t64 += np.diag(e64, 1) + np.diag(e64, -1)
+    e0, v0 = np.linalg.eigh(t64)
+    gap = e0[None, :] - e0[:, None]
+    np.fill_diagonal(gap, np.inf)
+    eigvals, v = xp.dd(e0), xp.dd(v0)
+    panels = xp._panels(n)
+
+    def normalize(cols):
+        v[0][:, cols], v[1][:, cols] = _normalize_whole(
+            (v[0][:, cols], v[1][:, cols]))
+
+    xp._share(normalize, panels)
+    for _ in range(2):
+        c = np.empty((n, n))
+
+        def project(cols):
+            v_p = v[0][:, cols], v[1][:, cols]
+            res = xp.dd_sub(xp._tridiag_times(diag_dd, off_dd, v_p),
+                            xp.dd_mul((eigvals[0][None, cols],
+                                       eigvals[1][None, cols]), v_p))
+            c[:, cols] = v[0].T @ res[0]
+
+        xp._share(project, panels)
+        eigvals = xp._dd_add_f(eigvals, np.diag(c))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = c / gap
+        new = np.empty((n, n)), np.empty((n, n))
+
+        def correct(cols):
+            new[0][:, cols], new[1][:, cols] = _normalize_whole(xp._dd_add_f(
+                (v[0][:, cols], v[1][:, cols]), v[0] @ f[:, cols]))
+
+        xp._share(correct, panels)
+        v = new
+    return eigvals, v
+
+
 @pytest.mark.parametrize("mag", [0.15, 0.5])
 def test_tridiag_eigh_dd_at_oracle_size(monkeypatch, mag):
     # n = 545 as the oracle builds it: M + f J at |f lambda| = mag
@@ -370,6 +428,10 @@ def test_tridiag_eigh_dd_at_oracle_size(monkeypatch, mag):
     norm2 = mpmath.fsum(_mp((hi, lo)) ** 2 for hi, lo in
                         zip(vectors[0][:, 349], vectors[1][:, 349]))
     assert abs(norm2 - 1) < 1e-29
+    # the passes over each panel's nonzero row band keep every bit
+    whole_vals, whole_vectors = _tridiag_eigh_dd_whole(diag, off)
+    assert _same_bits(eigvals, whole_vals)
+    assert _same_bits(vectors, whole_vectors)
 
 
 def test_tridiag_eigh_dd_rejects_close_eigenvalues():
@@ -487,9 +549,9 @@ def _count_dd_matmul(monkeypatch):
     calls = []
     matmul = xp.dd_matmul
 
-    def counted(a, b):
+    def counted(a, b, **out):
         calls.append(a[0].shape)
-        return matmul(a, b)
+        return matmul(a, b, **out)
 
     monkeypatch.setattr(xp, "dd_matmul", counted)
     return calls
@@ -596,7 +658,7 @@ def test_slice_columns_equals_whole_slicing(monkeypatch, p):
     if p == 130:
         first, last = xp._row_extents(b[0])
         assert np.any((first >= xp._PANEL) & (last <= 2 * xp._PANEL))
-    slices, expo = xp._slice_matrix(b, delta, axis=0)
+    slices, expo = _whole_slices(b, delta, axis=0)
     extents = [xp._row_extents(s) for s in slices]
     assert any(np.any(last == 0) for _, last in extents)
     for got, got_expo, got_extents in _on_one_and_two_threads(
@@ -609,6 +671,68 @@ def test_slice_columns_equals_whole_slicing(monkeypatch, p):
             assert np.array_equal(last, want_last)
 
 
+def _threshold_operand(rng, m, k, delta):
+    """m x k dd rows of largest |hi| 0.75 * 2**e, with e per row.
+
+    For k > 1, columns 2 and k - 3 hold 2**e times +-2**(-_N_SLICES*delta
+    - 1) and one ulp either side of it, and columns 0, 1, k - 2 and k - 1
+    only entries below the slicing window's bound.  The last 6 rows are
+    zero.
+    """
+    hi = np.zeros((m, k))
+    if k > 1:
+        middle = slice(k // 3, 2 * k // 3)
+        hi[:, middle] = rng.uniform(-0.5, 0.5, (m, middle.stop - middle.start))
+        edge = 2.0 ** (-xp._N_SLICES * delta - 1)
+        near = np.array([edge, np.nextafter(edge, 0), np.nextafter(edge, 1)])
+        near = np.concatenate([near, -near])
+        hi[:, 2] = near[np.arange(m) % 6]
+        hi[:, k - 3] = near[(np.arange(m) + 3) % 6]
+        below = np.nextafter(edge / 2, 0)
+        hi[:, [0, 1, k - 2, k - 1]] = below * rng.choice([-1.0, 0.0, 1.0],
+                                                         (m, 4))
+    hi[:, k // 2] = 0.75
+    hi[-6:] = 0.0
+    hi = np.ldexp(hi, rng.integers(-40, 40, (m, 1)))
+    return hi, hi * rng.uniform(-1.0, 1.0, (m, k)) * 2.0**-60
+
+
+@pytest.mark.parametrize("k", [1, 151, 545])
+def test_windowed_slicing_equals_whole_at_threshold(monkeypatch, k):
+    # the slicing window's bound depends on delta; entries at its edge
+    # reach the last slice, entries outside it reach none
+    delta = _delta(k)
+    assert delta == {1: 25, 151: 21, 545: 20}[k]
+    rng = np.random.default_rng(53)
+    a = _threshold_operand(rng, 70, k, delta)
+    b = tuple(x.T.copy() for x in _threshold_operand(rng, 70, k, delta))
+    window = slice(2, k - 2) if k > 1 else slice(0, 1)
+    # the rows of A, as one panel
+    slices, expo, got_window = xp._slice_window(a, delta, axis=1)
+    whole, whole_expo = _whole_slices(a, delta, axis=1)
+    assert got_window == window
+    assert np.array_equal(expo, whole_expo)
+    embedded = [np.zeros_like(x) for x in whole]
+    for x, s in zip(embedded, slices, strict=True):
+        x[:, window] = s
+    assert _same_bits(embedded, whole)
+    if k > 1:
+        assert np.any(whole[-1][:, 2]) and np.any(whole[-1][:, k - 3])
+    # the columns of B, on column panels; the last panel is all zero
+    whole, whole_expo = _whole_slices(b, delta, axis=0)
+    extents = [xp._row_extents(s) for s in whole]
+    for got, got_expo, got_extents in _on_one_and_two_threads(
+            monkeypatch, xp._slice_columns, b, delta):
+        assert _same_bits(got, whole)
+        assert np.array_equal(got_expo, whole_expo)
+        for (first, last), (want_first, want_last) in zip(
+                got_extents, extents, strict=True):
+            assert np.array_equal(first, want_first)
+            assert np.array_equal(last, want_last)
+    # the last row panel of A is all zero too
+    _assert_equals_dense(a, b)
+
+
 def test_stacked_product_equals_separate_products(monkeypatch):
     # per time, s_reversal_x stacks the real rows of G D over the
     # imaginary ones; 2 x 151 rows put both parts in one 64-row panel
@@ -616,18 +740,24 @@ def test_stacked_product_equals_separate_products(monkeypatch):
     operands = []
     matmul = xp.dd_matmul
 
-    def captured(a, b):
-        operands.append((a, b))
-        return matmul(a, b)
+    def captured(a, b, **out):
+        operand = tuple(x.copy() for x in a)
+        product = matmul(a, b, **out)
+        # the stacked operand is overwritten by its product
+        operands.append((operand, b, tuple(x.copy() for x in product),
+                         product[0] is a[0]))
+        return product
 
     monkeypatch.setattr(xp, "dd_matmul", captured)
     monkeypatch.setattr(xp, "_THREADS", 2)
     xp.s_reversal_x(0.3, -0.2j, 1.0, [(0.5, 1.0)], -0.5, n - 1)
     monkeypatch.undo()
-    stacked = [(a, b) for a, b in operands if a[0].shape == (2 * n, n)]
+    stacked = [op for op in operands if op[0][0].shape == (2 * n, n)]
     assert len(stacked) == 2
-    for a, b in stacked:
+    for a, b, in_place, was_in_place in stacked:
+        assert was_in_place
         whole = xp.dd_matmul(a, b)
+        assert _same_bits(in_place, whole)
         for half in (slice(0, n), slice(n, 2 * n)):
             part = xp.dd_matmul((a[0][half], a[1][half]), b)
             assert _same_bits(part, (whole[0][half], whole[1][half]))
@@ -653,15 +783,29 @@ def test_bilinear_equals_whole_matrix_product(monkeypatch, complex_a,
     def dd_array(*shape):
         return rng.standard_normal(shape), rng.standard_normal(shape) * 1e-17
 
-    def factor(is_complex):
-        return dd_array(n, n), dd_array(n, n) if is_complex else None
+    def banded(zero_rows, zero_cols):
+        # a band that is zero in the chosen 64-row and 64-column blocks
+        part = _banded(rng, n, n, 4.0, 30, zero_rows)
+        for block in zero_cols:
+            for x in part:
+                x[:, 64 * block:64 * (block + 1)] = 0.0
+        return part
 
-    wa, wb = factor(complex_a), factor(complex_b)
+    def factor(is_complex, blocks=None):
+        if blocks is None:
+            return dd_array(n, n), dd_array(n, n) if is_complex else None
+        return banded(*blocks), banded(*blocks) if is_complex else None
+
     left, right = (dd_array(n), dd_array(n)), (dd_array(n), dd_array(n))
-    want = _bilinear_whole(wa, wb, left, right)
-    for got in _on_one_and_two_threads(monkeypatch, xp._bilinear, wa, wb,
-                                       left, right):
-        assert _same_bits((got.real, got.imag), (want.real, want.imag))
+    # dense factors; then bands whose panels of rows 0-63 meet no
+    # nonzero column of wa, and of rows 64-127 no nonzero row of wb
+    for wa, wb in ((factor(complex_a), factor(complex_b)),
+                   (factor(complex_a, ((0,), ())),
+                    factor(complex_b, ((), (1,))))):
+        want = _bilinear_whole(wa, wb, left, right)
+        for got in _on_one_and_two_threads(monkeypatch, xp._bilinear, wa, wb,
+                                           left, right):
+            assert _same_bits((got.real, got.imag), (want.real, want.imag))
 
 
 def test_tridiag_eigh_dd_bits_do_not_depend_on_threads(monkeypatch):
@@ -686,9 +830,9 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(xp, "_THREADS", 2)
     seen = []
     for name in ("s_free_x", "s_reversal_x", "tridiag_eigh_dd", "dd_matmul"):
-        def traced(*args, _func=getattr(xp, name), _name=name):
+        def traced(*args, _func=getattr(xp, name), _name=name, **kwargs):
             seen.append((_name, threading.current_thread()))
-            return _func(*args)
+            return _func(*args, **kwargs)
 
         monkeypatch.setattr(xp, name, traced)
     xp.s_free_x(0.3, -0.2j, 1.0, [0.5], 140)
