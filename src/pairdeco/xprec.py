@@ -22,26 +22,29 @@ thermal weights as powers of exp(-beta) and the gauge by complex
 products, each tested against a 50-digit reference.
 
 dd_matmul and tridiag_eigh_dd, most of the time taken here, the
-scaled operands of s_reversal_x and the row sums of _bilinear work on
-panels of _PANEL rows or columns, which _share hands out to this thread
-and, on a machine that gives the process a second CPU, one worker
-thread.  Each output entry takes the same float64 operations in the
-same order on either thread, so the results are bit-identical for any
-thread count.  Two rules bound the worker.  It allocates only
-panel-sized arrays, as whole-size temporaries on two threads, each
-with its own glibc malloc arena, raise the peak resident set.  And it
-calls none of s_free_x, s_reversal_x, tridiag_eigh_dd and dd_matmul,
-so a tracer that wraps them, as perfbench's does with one span stack,
-sees every span on the calling thread.
+scaled operands of _overlap and s_reversal_x and the row sums of
+_bilinear work on panels of _PANEL rows or columns, which _share hands
+out to this thread and, on a machine that gives the process a second
+CPU, one worker thread.  Each output entry takes the same float64
+operations in the same order on either thread, so the results are
+bit-identical for any thread count.  Two rules bound the worker.  It
+allocates only panel-sized arrays, as whole-size temporaries on two
+threads, each with its own glibc malloc arena, raise the peak
+resident set.  And it calls none of s_free_x, s_reversal_x,
+tridiag_eigh_dd and dd_matmul, so a tracer that wraps them, as
+perfbench's does with one span stack, sees every span on the calling
+thread.
 
 The matrices are Franck-Condon bands: in one grid-verify pass 67-75%
 of the entries of each overlap and 56-67% of each stacked echo product
 are exact zeros, and the eigenvectors' far tails lie below the last
-slice.  dd_matmul's slicing, products and level sums, tridiag_eigh_dd's
-normalization, projection and correction, and _bilinear's products
-work on each panel's nonzero window alone and give the bits of the
-whole-width passes; sums whose pairing depends on the length run over
-the whole length, zeros embedded.
+slice.  dd_matmul maps its right operand by chunks of rows, keeping
+each chunk's slices only over the columns that can hold a nonzero
+slice, and multiplies tile by tile; tridiag_eigh_dd's normalization,
+projection and correction and _bilinear's products work on each
+panel's nonzero window alone.  All give the bits of the whole-width
+passes; sums whose pairing depends on the length run over the whole
+length, zeros embedded.
 """
 
 from __future__ import annotations
@@ -279,12 +282,13 @@ def _panels(n):
 def _share(func, panels):
     """func(panel) for every panel, on this thread and one worker thread.
 
-    The panel passes are dd_matmul's slicing of B by columns
-    (_slice_columns) and its products by rows of A; tridiag_eigh_dd's
-    normalization, projection and correction by columns; s_reversal_x's
-    stacked operand by rows; and _bilinear's row sums.  The panels go
-    in order to whichever thread is free.  A call writes only its own
-    panel of arrays the caller allocated and reads nothing another call
+    The panel passes are dd_matmul's band map of B by chunks of rows
+    (_band_map) and its products by rows of A; tridiag_eigh_dd's
+    normalization, projection and correction by columns; _overlap's
+    scaled operand and s_reversal_x's stacked operand by rows; and
+    _bilinear's row sums.  The panels go in order to whichever thread
+    is free.  A call writes only its own panel of arrays the caller
+    allocated, or its own key of a dict, and reads nothing another call
     writes, so the results do not depend on _THREADS.  It keeps the
     module docstring's two rules.  Measured for the first: with each
     reversal time's whole trace on a thread instead, a two-point oracle
@@ -382,73 +386,56 @@ def _embed(x, index, shape):
     return out
 
 
-def _slice_window(x, delta, axis):
-    """_slice_matrix of a dd panel over the window that holds its slices.
+def _exponents(x, axis):
+    """e per row (axis 1) or column (axis 0) of dd x: its largest |hi| < 2**e.
 
-    ``axis`` is the inner (contracted) dimension; each row of a left
-    operand (column of a right one) takes e from its largest |hi|.  The
-    window is the stretch of ``axis`` that holds every entry with |hi| >=
+    max |hi| is taken as max(max hi, -min hi), with no |hi| temporary.
+    """
+    return np.frexp(np.maximum(x[0].max(axis=axis, keepdims=True),
+                               -x[0].min(axis=axis, keepdims=True)))[1]
+
+
+def _slice_window(x, expo, delta):
+    """_slice_matrix of a dd block over the columns that hold its slices.
+
+    ``expo`` holds e per row of the block, or per column, broadcast.  The
+    window is the stretch of columns that holds every entry with |hi| >=
     2**(e - (_N_SLICES*delta + 2)).  Any smaller entry, with |lo| <= |hi|
     as a normalized pair has, scales to |r| < 2**(-_N_SLICES*delta - 1),
     half the unit of the last slice in the binade just below its sigma,
     and so is +0 in every slice.  The bound depends on delta: a fixed
     one would cut slices at one k and keep dead entries at another.
-    Returns the window's slices, the exponents and the window, a slice.
+    Returns (s, c0, c1) per slice: a copy of the slice cut to its
+    nonzero columns [c0, c1) of the block, empty if it has none.
     """
-    mag = np.abs(x[0])
-    _, expo = np.frexp(np.max(mag, axis=axis, keepdims=True))  # max < 2**e
-    live = mag >= np.ldexp(1.0, expo - (_N_SLICES * delta + 2))
-    window = slice(*_window(live.any(axis=1 - axis)))
-    index = (slice(None), window) if axis else window
-    return (_slice_matrix((x[0][index], x[1][index]), expo, delta), expo,
-            window)
+    live = np.abs(x[0]) >= np.ldexp(1.0, expo - (_N_SLICES * delta + 2))
+    w0, w1 = _window(live.any(axis=0))
+    slices = _slice_matrix((x[0][:, w0:w1], x[1][:, w0:w1]),
+                           np.broadcast_to(expo, x[0].shape)[:, w0:w1], delta)
+    spans = [_window((s != 0.0).any(axis=0)) for s in slices]
+    return [(np.ascontiguousarray(s[:, c0:c1]), w0 + c0, w0 + c1)
+            for s, (c0, c1) in zip(slices, spans)]
 
 
-def _row_extents(s):
-    """First and one-past-last nonzero column of each row; (n, 0) if none."""
-    nonzero = s != 0.0
-    n = s.shape[1]
-    any_ = nonzero.any(axis=1)
-    return (np.where(any_, nonzero.argmax(axis=1), n),
-            np.where(any_, n - nonzero[:, ::-1].argmax(axis=1), 0))
+def _band_map(b, delta):
+    """The exponents of b's columns and its chunks of _PANEL rows, sliced.
 
-
-def _slice_columns(b, delta):
-    """Slices, exponents and per-slice _row_extents of a right operand b.
-
-    Formed one panel of _PANEL columns at a time, shared by _share: a
-    column's slices and exponent depend on that column alone.  Each
-    panel slices only its window of rows (_slice_window), writes those
-    rows of its columns of the slices, which are +0 elsewhere, and finds
-    the window rows' nonzero columns; rows outside the window have none.
-    The panels' extents are then merged by min and max.  Returns the
-    slices, the exponents and the extents.
+    The exponents are found once, on this thread.  Each chunk is then
+    sliced by _slice_window on the panels that _share hands out, and
+    the map holds its cut slices under the chunk's first row.
     """
-    k, p = b[0].shape
-    slices = np.zeros((_N_SLICES, k, p))
-    expo = np.empty((1, p), dtype=np.intc)
-    col_panels = _panels(p)
-    # per panel and slice, each row's first and one-past-last nonzero
-    # column, (p, 0) if the panel has none
-    firsts = np.full((len(col_panels), _N_SLICES, k), p, dtype=np.intp)
-    lasts = np.zeros_like(firsts)
+    expo = _exponents(b, axis=0)
+    chunks = {}
 
-    def panel(cols):
-        index = cols.start // _PANEL
-        col_slices, expo[:, cols], rows = _slice_window(
-            (b[0][:, cols], b[1][:, cols]), delta, axis=0)
-        for i, s in enumerate(col_slices):
-            slices[i][rows, cols] = s
-            first, last = _row_extents(s)
-            nonzero = last > 0
-            firsts[index, i, rows] = np.where(nonzero, first + cols.start, p)
-            lasts[index, i, rows] = np.where(nonzero, last + cols.start, 0)
+    def chunk(rows):
+        chunks[rows.start] = _slice_window((b[0][rows], b[1][rows]), expo,
+                                           delta)
 
-    _share(panel, col_panels)
-    return slices, expo, list(zip(firsts.min(axis=0), lasts.max(axis=0)))
+    _share(chunk, _panels(b[0].shape[0]))
+    return expo, chunks
 
 
-def dd_matmul(a, b, out=None):
+def dd_matmul(a, b, *, out=None):
     """C = A @ B for double-double matrices, accurate to ~1e-30 relative.
 
     Each operand is sliced on one exponent ladder per row of A and per
@@ -467,34 +454,40 @@ def dd_matmul(a, b, out=None):
     at most 2**(2*delta - 2)*u in magnitude, and a level holds fewer
     than _N_SLICES + 1 products.  With
     delta = floor((53 - ceil(log2(k*(_N_SLICES + 1))))/2) every partial
-    sum, in BLAS or across the level, is a multiple of u below 2**53*u
-    and so a float64.  The skipped levels and the slices' remainders
-    are about 2**(-_N_SLICES*delta) of |A||B|: 2**-120, or 8e-37, at
-    k = 545, where delta = 20.
+    sum of these terms, in BLAS, across a level or over any split of
+    the k terms, is a multiple of u below 2**53*u and so a float64.
+    The skipped levels and the slices' remainders are about
+    2**(-_N_SLICES*delta) of |A||B|: 2**-120, or 8e-37, at k = 545,
+    where delta = 20.
 
-    Both operands are sliced on panels that _share hands to this thread
-    and a worker; a panel allocates only panel-sized arrays.  B is
-    sliced one panel of _PANEL columns at a time (_slice_columns).  A
-    is then sliced, multiplied and summed one panel of _PANEL rows at a
-    time, into that panel's rows of the result.  A row's slices depend
-    on that row alone and a column's on that column, so each output
-    entry takes the same float64 operations in the same order whichever
-    panel or thread forms it.  A panel reads its rows of A before it
-    writes the same rows of the result, so ``out`` may be A itself, as
-    in s_reversal_x; else a new pair is returned.
-
-    The work stays inside the Franck-Condon band.  Each panel is sliced
-    only over the window of the contracted axis outside which every
-    slice is +0 (_slice_window).  Slice i of a panel multiplies only its
-    nonzero columns [k0, k1) into the columns [c0, c1) where rows k0:k1
-    of slice j of B are nonzero.  Each level is added over the running
-    union of the columns of all levels so far, so a column, once
+    The work stays inside the Franck-Condon band.  B is mapped once per
+    call (_band_map) in chunks of _PANEL rows of the contracted axis:
+    each chunk is sliced only over its live column window, and each
+    slice is kept only over its own nonzero column range
+    (_slice_window).  In a grid-verify pass a chunk's window holds
+    15-46% of B's columns, and the map stores 26% of the entries of
+    whole-width slices.  A is then sliced, multiplied and summed one
+    panel of _PANEL rows at a time, into that panel's rows of the
+    result, each slice i of the panel over its own nonzero span [k0, k1)
+    of the contracted axis.  A tile is the product of slice i, over the
+    rows of one chunk inside [k0, k1), by slice j of that chunk, over
+    the chunk's column range for slice j.  Each level is added over the
+    running union of the columns of all tiles so far, so a column, once
     formed, takes every later level, zero or not, as in the whole
-    product.  Only that union is scaled back; the rest of the panel's
-    rows is +0.  All other terms are exact zeros, and as every partial
-    sum is exact, leaving them out changes no bit but perhaps a zero's
-    sign.  Non-finite operands raise ValueError, as skipping would
-    leave part of a NaN row finite.
+    product; a column in the union that no tile has reached yet takes
+    only +0 sums onto its (+0, +0).  Only that union is scaled back; the
+    rest of the panel's rows is +0.  All other terms are exact zeros,
+    and as every partial sum is exact, leaving them out changes no bit
+    but perhaps a zero's sign.  Non-finite operands raise ValueError, as
+    skipping would leave part of a NaN row finite.
+
+    The chunks and the panels are shared by _share between this thread
+    and a worker; each allocates only chunk- or panel-sized arrays.  A
+    row's slices depend on that row alone and a column's on that column,
+    so each output entry takes the same float64 operations whichever
+    panel or thread forms it.  A panel reads its rows of A before it
+    writes the same rows of the result, so ``out``, a keyword, may be A
+    itself, as in s_reversal_x; else a new pair is returned.
     """
     k = a[0].shape[1]
     if b[0].shape[0] != k:
@@ -503,44 +496,43 @@ def dd_matmul(a, b, out=None):
         if not (np.isfinite(x[0]).all() and np.isfinite(x[1]).all()):
             raise ValueError(f"dd_matmul: operand {name} is not finite")
     delta = (53 - math.ceil(math.log2(max(k, 1) * (_N_SLICES + 1)))) // 2
-    b_slices, b_expo, b_extents = _slice_columns(b, delta)
     m, p = a[0].shape[0], b[0].shape[1]
+    b_expo, chunks = _band_map(b, delta)
     if out is None:
         out = np.empty((m, p)), np.empty((m, p))
 
     def panel(rows):
-        a_slices, a_expo, window = _slice_window((a[0][rows], a[1][rows]),
-                                                 delta, axis=1)
-        # the panel's nonzero columns [k0, k1) per slice of A
-        a_spans = [np.add(_window((s != 0.0).any(axis=0)), window.start)
-                   for s in a_slices]
-        acc = dd(np.zeros((a_slices[0].shape[0], p)))
+        a_rows = a[0][rows], a[1][rows]
+        a_expo = _exponents(a_rows, axis=1)
+        a_cut = _slice_window(a_rows, a_expo, delta)
+        # the panel's sums, transposed, so that a tile's columns are
+        # contiguous rows
+        acc = dd(np.zeros((p, a_expo.shape[0])))
         u0, u1 = p, 0  # the union of the columns formed so far
         for level in range(_N_SLICES, -1, -1):
-            terms = []
+            tiles = []
             for i in range(max(0, level - _N_SLICES + 1),
                            min(level, _N_SLICES - 1) + 1):
-                k0, k1 = a_spans[i]
-                b_first, b_last = b_extents[level - i]
-                if k0 >= k1:
-                    continue
-                c0, c1 = b_first[k0:k1].min(), b_last[k0:k1].max()
-                if c0 < c1:
-                    terms.append((i, k0, k1, c0, c1))
-                    u0, u1 = min(u0, c0), max(u1, c1)
+                a_slice, k0, k1 = a_cut[i]
+                # the chunks of B that meet the span [k0, k1) of slice i
+                for r0 in range(k0 - k0 % _PANEL, k1, _PANEL):
+                    b_slice, c0, c1 = chunks[r0][level - i]
+                    if c0 < c1:
+                        t0, t1 = max(k0, r0), min(k1, r0 + _PANEL)
+                        tiles.append((a_slice[:, t0 - k0:t1 - k0],
+                                      b_slice[t0 - r0:t1 - r0], c0, c1))
+                        u0, u1 = min(u0, c0), max(u1, c1)
             if u0 >= u1:
                 continue
-            level_sum = np.zeros((acc[0].shape[0], u1 - u0))
-            for i, k0, k1, c0, c1 in terms:
-                level_sum[:, c0 - u0:c1 - u0] += (
-                    a_slices[i][:, k0 - window.start:k1 - window.start]
-                    @ b_slices[level - i][k0:k1, c0:c1])
-            acc[0][:, u0:u1], acc[1][:, u0:u1] = _dd_add_f(
-                (acc[0][:, u0:u1], acc[1][:, u0:u1]), level_sum)
+            level_sum = np.zeros((u1 - u0, acc[0].shape[1]))
+            for a_tile, b_tile, c0, c1 in tiles:
+                level_sum[c0 - u0:c1 - u0] += b_tile.T @ a_tile.T
+            acc[0][u0:u1], acc[1][u0:u1] = _dd_add_f(
+                (acc[0][u0:u1], acc[1][u0:u1]), level_sum)
         scale = a_expo + b_expo[:, u0:u1]
         for x, part in zip(out, acc):
             x[rows] = 0.0
-            x[rows, u0:u1] = np.ldexp(part[:, u0:u1], scale)
+            x[rows, u0:u1] = np.ldexp(part[u0:u1].T, scale)
 
     _share(panel, _panels(m))
     return out
@@ -718,7 +710,8 @@ def _overlap(sys_a, sys_b, weights=None):
 
     The double-double form of ``fock._overlap``, for _mode_system
     results.  Returns (re, im) with im None when every c_j is real;
-    then one dd_matmul forms it, else two.
+    then one dd_matmul forms it, else two.  Each part of diag(c) V_b is
+    formed on panels of rows, shared by _share.
     """
     (_, v_a, u_a), (_, v_b, u_b) = sys_a, sys_b
     ratio = cdd_mul(u_a, (u_b[0], dd_neg(u_b[1])))
@@ -728,9 +721,36 @@ def _overlap(sys_a, sys_b, weights=None):
     if weights is not None:
         c = cdd_mul(c, (weights, None))
     a_t = dd_transpose(v_a)
-    return tuple(None if x is None else
-                 dd_matmul(a_t, dd_mul((x[0][:, None], x[1][:, None]), v_b))
-                 for x in c)
+
+    def scaled(x):
+        """diag(x) V_b for a dd vector x."""
+        out = np.empty_like(v_b[0]), np.empty_like(v_b[0])
+
+        def scale(rows):
+            out[0][rows], out[1][rows] = dd_mul(
+                (x[0][rows, None], x[1][rows, None]),
+                (v_b[0][rows], v_b[1][rows]))
+
+        _share(scale, _panels(v_b[0].shape[0]))
+        return out
+
+    return tuple(None if x is None else dd_matmul(a_t, scaled(x)) for x in c)
+
+
+def _thermal_overlap(lm, ln, beta, n_max, eigensystems):
+    """_overlap of the f = 1 systems of lm and ln, with thermal weights.
+
+    It is s_free_x's first overlap and s_reversal_x's G_theta, so
+    ``eigensystems`` keeps it under (lm, ln, beta, n_max) for the other
+    call of a group.
+    """
+    key = (lm, ln, beta, n_max)
+    if key not in eigensystems:
+        eigensystems[key] = _overlap(
+            _mode_system(lm, 1.0, n_max, eigensystems),
+            _mode_system(ln, 1.0, n_max, eigensystems),
+            _thermal_weights(beta, n_max))
+    return eigensystems[key]
 
 
 def _thermal_weights(beta, n_max):
@@ -781,13 +801,16 @@ def s_free_x(lambda_m, lambda_n, beta, times, n_max, eigensystems=None):
     and overlaps do not depend on t and are built once per call; each
     time adds only its two phase vectors and the weighted sum.  Calls
     at one cutoff that pass the same ``eigensystems`` dict build each
-    distinct tridiagonal once between them.
+    distinct tridiagonal once between them; the dict also keeps the
+    thermal overlap V_m^T diag(c w) V_n, which s_reversal_x's G_theta
+    at the same (lambda_m, lambda_n, beta, n_max) reuses.
     """
     if eigensystems is None:
         eigensystems = {}
-    sys_m = _mode_system(complex(lambda_m), 1.0, n_max, eigensystems)
-    sys_n = _mode_system(complex(lambda_n), 1.0, n_max, eigensystems)
-    a_mat = _overlap(sys_m, sys_n, _thermal_weights(beta, n_max))
+    lm, ln = complex(lambda_m), complex(lambda_n)
+    sys_m = _mode_system(lm, 1.0, n_max, eigensystems)
+    sys_n = _mode_system(ln, 1.0, n_max, eigensystems)
+    a_mat = _thermal_overlap(lm, ln, beta, n_max, eigensystems)
     b_mat = _overlap(sys_n, sys_m)
     # S = sum_jl pm_j A_jl B_lj pn_l
     return [_bilinear(a_mat, b_mat, _cis(dd_mul_f(sys_m[0], -t)),
@@ -803,8 +826,8 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
     products as two real dd matmuls, the real and imaginary rows of the
     complex factor stacked into one operand, which the product then
     overwrites: the real factor is sliced once per product.  The
-    overlaps are built once per call;
-    ``eigensystems`` is shared as in s_free_x.
+    overlaps are built once per call; ``eigensystems`` is shared as in
+    s_free_x, thermal overlap G_theta included.
     """
     if eigensystems is None:
         eigensystems = {}
@@ -812,7 +835,7 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
     systems = [_mode_system(lam, f, n_max, eigensystems)
                for lam, f in ((lm, f_B), (lm, 1.0), (ln, 1.0), (ln, f_B))]
     g12, _ = _overlap(systems[0], systems[1])
-    g_theta = _overlap(systems[1], systems[2], _thermal_weights(beta, n_max))
+    g_theta = _thermal_overlap(lm, ln, beta, n_max, eigensystems)
     g34, _ = _overlap(systems[2], systems[3])
     g41 = _overlap(systems[3], systems[0])
 
