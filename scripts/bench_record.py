@@ -8,20 +8,24 @@ full-grid ``oracle fock`` on one BLAS thread, then the Tier-1 test
 suite, all inside CHECKOUT (default: this repository).  Writes
 ``BENCH_<PR>.json`` at the root of this repository with, per workload,
 the run's machine line and result line, plus the line count of
-``src/``, the full-grid oracle's wall time as ``fock_full_s`` and the
-Tier-1 wall time and summary line.  A checkout of an older commit is
-measured with the same script, so two files differ only in the code
-they measured.
+``src/`` as ``src_lines`` and its count of code lines as
+``src_code_lines``, the full-grid oracle's wall time as
+``fock_full_s`` and the Tier-1 wall time and summary line.  A checkout
+of an older commit is measured with the same script, so two files
+differ only in the code they measured.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import time
+import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1
@@ -44,6 +48,35 @@ def run_workload(checkout, command, name, seconds):
 
 def src_lines(checkout):
     return sum(len(path.read_text().splitlines())
+               for path in sorted((checkout / "src").rglob("*.py")))
+
+
+def code_lines(source):
+    """Lines of SOURCE that hold code: not blank, not only a comment and
+    not part of a module, class or function docstring.
+
+    ``tokenize`` gives the lines each token spans, so a line with code
+    and a trailing comment counts and a multi-line string counts every
+    line; ``ast`` names the docstrings, whose lines are then dropped.
+    """
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+            tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in skip:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def src_code_lines(checkout):
+    return sum(code_lines(path.read_text())
                for path in sorted((checkout / "src").rglob("*.py")))
 
 
@@ -106,6 +139,7 @@ def main(argv=None):
         record["workloads"][name] = run_workload(
             checkout, spec["command"], name, spec["run_seconds"])
     record["src_lines"] = src_lines(checkout)
+    record["src_code_lines"] = src_code_lines(checkout)
     print("bench_record: full-grid oracle fock", file=sys.stderr)
     record["fock_full_s"] = fock_full(checkout)
     print("bench_record: tier-1 tests", file=sys.stderr)

@@ -46,7 +46,6 @@ class PhysicalConfig:
     N       number of pairs in the sample
     theta   angle between pair axis and field axis, rad
     omega0_larmor  Larmor angular frequency, rad/s (initial amplitude only)
-    N1      modes along the pair axis used by the discrete k-sums
     """
 
     d: float
@@ -56,7 +55,6 @@ class PhysicalConfig:
     N: float
     theta: float = 0.0
     omega0_larmor: float = _DEFAULT_OMEGA0
-    N1: int = 100000
 
     def __post_init__(self):
         checks = [
@@ -65,7 +63,6 @@ class PhysicalConfig:
             (self.v_s > 0, "v_s > 0 violated"),
             (self.T > 0, "T > 0 violated"),
             (self.N >= 1, "N >= 1 violated"),
-            (self.N1 >= 2, "N1 >= 2 violated"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -100,7 +97,6 @@ _CONFIG_KEYS = {
     "N": "N",
     "theta_rad": "theta",
     "omega0_larmor_radps": "omega0_larmor",
-    "N1": "N1",
 }
 _REQUIRED_KEYS = ("d_m", "a_m", "v_s_mps", "T_K", "N")
 
@@ -137,13 +133,7 @@ def parse_config(text):
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing key {key}")
-    kwargs = {_CONFIG_KEYS[k]: v for k, v in values.items()}
-    if "N1" in kwargs:
-        n1 = kwargs["N1"]
-        if n1 != int(n1):
-            raise ConfigError("N1 must be an integer")
-        kwargs["N1"] = int(n1)
-    return PhysicalConfig(**kwargs)
+    return PhysicalConfig(**{_CONFIG_KEYS[k]: v for k, v in values.items()})
 
 
 def coth(x):

@@ -141,7 +141,8 @@ def tail_bound_n_max(beta, lambdas, target_abs):
     """Fock cutoff whose truncation error is below target_abs.
 
     The trace mass beyond level n is below ~2 q^(n+1)/(1-q)^2, q =
-    exp(-beta), in either precision; 4 max|lam|^2 + 20 more levels cover
+    exp(-beta), in either precision, which holds at every n >= 0 once
+    target_abs >= c = 2/(1-q)^2; 4 max|lam|^2 + 20 more levels cover
     the coherent displacement.  A cutoff above 700, the largest the
     traces are tested at, raises ConfigError naming it, so no trace is
     built at it.
@@ -149,7 +150,7 @@ def tail_bound_n_max(beta, lambdas, target_abs):
     q = math.exp(-beta)
     c = 2.0 / (1.0 - q) ** 2
     # log(c) - log(target) stays finite where c/target overflows
-    n_tail = (math.log(c) - math.log(target_abs)) / beta
+    n_tail = max(0.0, (math.log(c) - math.log(target_abs)) / beta)
     disp = max((abs(complex(l)) ** 2 for l in lambdas), default=0.0)
     n_max = int(math.ceil(n_tail + 4.0 * disp + 20.0))
     if n_max > 700:

@@ -46,6 +46,9 @@ QUICK_LAMBDAS = (0.3, complex(0.0, -0.2), 0.5)
 QUICK_BETAS = (1.0, 5.0)
 QUICK_TIMES = (0.5, math.pi)
 
+#: modes along the pair axis in the ksum suite's discrete k-sums
+KSUM_MODES = 100000
+
 
 def _fmt_c(z):
     return [float(z.real), float(z.imag)]
@@ -290,7 +293,7 @@ def ksum_suite():
     the kernel scale, so those two points are measured relative to the
     x = 0 kernel magnitude.
     """
-    cfg = gypsum_config()
+    cfg, n1 = gypsum_config(), KSUM_MODES
     checks = []
 
     def record(name, closed, numeric, rel, **extra):
@@ -303,28 +306,27 @@ def ksum_suite():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         t_window = 2e-10
-        g_d, _, _ = phonon.discrete_kernel_sums(cfg, t_window, 0.0)
+        g_d, _, _ = phonon.discrete_kernel_sums(cfg, t_window, 0.0, n1)
         g_c, _ = phonon.closed_kernels(cfg, t_window)
         record("gamma_window", g_c, g_d, abs(g_d - g_c) / abs(g_c),
                t=t_window)
 
         t_long = 1e-6
-        _, e_d, z_d0 = phonon.discrete_kernel_sums(cfg, t_long, 0.0)
+        _, e_d, z_d0 = phonon.discrete_kernel_sums(cfg, t_long, 0.0, n1)
         _, e_c = phonon.closed_kernels(cfg, t_long)
         record("epsilon", e_c, e_d, abs(e_d - e_c) / abs(e_c), t=t_long)
         z_c0 = phonon.zeta_closed(cfg, 0.0, t_long)
         record("zeta_x0", z_c0, z_d0, abs(z_d0 - z_c0) / abs(z_c0), t=t_long)
         for mult in (1.0, 3.0):
             x = mult * cfg.a
-            _, _, z_d = phonon.discrete_kernel_sums(cfg, t_long, x)
+            _, _, z_d = phonon.discrete_kernel_sums(cfg, t_long, x, n1)
             z_c = phonon.zeta_closed(cfg, x, t_long)
             record("zeta_lattice_zero", z_c, z_d,
                    abs(z_d - z_c) / abs(z_c0), t=t_long, x_over_a=mult,
                    scale=float(z_c0))
 
         # window consistency: refining the grid cannot worsen gamma
-        cfg4 = gypsum_config(N1=4 * cfg.N1)
-        g_d4, _, _ = phonon.discrete_kernel_sums(cfg4, t_window, 0.0)
+        g_d4, _, _ = phonon.discrete_kernel_sums(cfg, t_window, 0.0, 4 * n1)
         rel1 = abs(g_d - g_c) / abs(g_c)
         rel4 = abs(g_d4 - g_c) / abs(g_c)
         checks.append({"kind": "window_consistency",

@@ -97,7 +97,7 @@ def closed_kernels(cfg, t):
     epsilon(t) = -d^2 hbar/(4 v_s^2 m_p) t
 
     Valid for t well above a/(2 v_s) (warned) and below the finite-size
-    recurrence time N1 a/v_s of any discrete comparison.
+    recurrence time n1 a/v_s of any discrete comparison over n1 modes.
     """
     _window_check(cfg, t, "closed_kernels")
     gamma = cfg.d**2 * K_B * cfg.T * cfg.a / (4.0 * cfg.v_s**3 * M_P) * t
@@ -350,36 +350,36 @@ def _phase(freq, factor, ts):
     return np.exp(arg)
 
 
-def discrete_kernel_sums(cfg, t, x=0.0):
+def discrete_kernel_sums(cfg, t, x, n1):
     """Direct mode sums for (gamma, epsilon, zeta), units m^2 s^2.
 
-    Sums over the 1-D grid k_q = 2 pi q/(N1 a), q = +-1..+-N1/2, with
-    each grid mode standing for N/N1 of the full bath.  Valid inside the
-    window a/v_s << t << N1 a/v_s (warned outside); this is the oracle
-    for the closed kernels.
+    Sums over the 1-D grid of n1 modes along the pair axis, k_q =
+    2 pi q/(n1 a), q = +-1..+-n1/2, with each grid mode standing for
+    N/n1 of the full bath.  Valid inside the window a/v_s << t <<
+    n1 a/v_s (warned outside); this is the oracle for the closed kernels.
 
     These are condensed_kernels with a partner displaced by x, over the
     k > 0 half grid at twice the weight: |g_k|^2 and omega_k are even in
     k and the sin(kx) part of the cross term is odd, so the partner
     coupling g_k cos(kx) gives the whole sum.
     """
-    if cfg.N1 < 2:
-        raise ConfigError("N1 >= 2 violated")
+    if n1 < 2:
+        raise ConfigError("n1 >= 2 violated")
     if t < 0:
         raise ValueError("t >= 0 required")
     lower = cfg.a / cfg.v_s
-    upper = cfg.N1 * cfg.a / cfg.v_s
+    upper = n1 * cfg.a / cfg.v_s
     if not lower * 10.0 <= t <= upper / 10.0:
         warnings.warn(
             f"discrete_kernel_sums: t = {t:g} s outside the window "
             f"({lower:g}, {upper:g}) s; finite-size artifacts dominate",
             stacklevel=2,
         )
-    k = 2.0 * math.pi * np.arange(1, cfg.N1 // 2 + 1) / (cfg.N1 * cfg.a)
+    k = 2.0 * math.pi * np.arange(1, n1 // 2 + 1) / (n1 * cfg.a)
     omega = cfg.v_s * k
     g = acoustic_coupling(k, cfg)
     kernels = condensed_kernels({"A": g, "A'": g * np.cos(k * x)}, "A",
                                 omega, {"A'": 0.0}, cfg.beta, t)
-    weight = 2.0 * cfg.N / cfg.N1
+    weight = 2.0 * cfg.N / n1
     return (weight * kernels.gamma_A, weight * kernels.epsilon_A,
             weight * kernels.zeta["A'"])

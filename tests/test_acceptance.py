@@ -122,7 +122,7 @@ def test_criterion_07_eigenvalue_distribution():
 
 
 def test_criterion_08_discrete_vs_continuum():
-    """Discrete k-sums vs closed kernels, 2%, N1 = 1e5, x in {0, a, 3a}.
+    """Discrete k-sums vs closed kernels, 2%, 1e5 modes, x in {0, a, 3a}.
 
     gamma is compared inside the continuum window where its linear
     closed form is defined (at 1 us the discrete sum has saturated, 57x

@@ -72,6 +72,22 @@ def test_missing_config_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["constants"], ["evolve", "--grid", "0:1e-4:3"],
+    ["sweep", "--n-grid", "1e23:1e23:1", "--vs-grid", "4570:4570:1"],
+    ["compare", "data.csv"]])
+def test_config_with_n1_is_unknown_key(args, tmp_path, capsys,
+                                       monkeypatch):
+    # the mode count belongs to the ksum oracle, not to the sample
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("nu_hat_khz,tau_exp_us\n50.4,120.5\n")
+    (tmp_path / "sample.cfg").write_text(GOOD_CONFIG + "N1 = 100000\n")
+    assert run(args + ["--config", "sample.cfg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 6: unknown key N1\n"
+
+
 def test_bad_config_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("d_m = 0.1e-9\n")
@@ -384,6 +400,19 @@ def test_oracle_fock_progress_on_stderr(tmp_path, capsys):
     assert json.loads(out.read_text())["failures"] == 0
 
 
+@pytest.mark.parametrize("tol", ["1e5", "1e20", "1e300", "1e308"])
+def test_oracle_large_tol_passes(tol, tmp_path, capsys):
+    # a truncation target past the tail constant needs no thermal levels
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "fock", "--quick", "--tol", tol,
+                "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["failures"] == 0
+    assert min(c["n_max"] for c in report["reports"][0]["checks"]
+               if "n_max" in c) >= 21
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
 def test_oracle_rejects_bad_tol(tol, tmp_path, capsys):
     out = tmp_path / "oracle.json"
@@ -584,10 +613,9 @@ AT_LEAST_ONE = st.floats(min_value=0.0, max_value=308.0).map(
 #: the reference sample, with the keys the drawn configs may change
 REFERENCE = {"d_m": 0.153e-9, "a_m": 0.8e-9, "v_s_mps": 4570.0,
              "T_K": 300.0, "N": 1e23}
-KEYS = tuple(REFERENCE) + ("theta_rad", "omega0_larmor_radps", "N1")
+KEYS = tuple(REFERENCE) + ("theta_rad", "omega0_larmor_radps")
 #: edges of the model, drawn as often as a log-uniform value
-EDGES = {"N": st.just(1.0), "theta_rad": st.just(MAGIC_THETA),
-         "N1": st.just(2.0)}
+EDGES = {"N": st.just(1.0), "theta_rad": st.just(MAGIC_THETA)}
 
 
 @st.composite
@@ -599,8 +627,6 @@ def _config_texts(draw):
     for key in keys:
         values[key] = draw(st.one_of(LOG_UNIFORM,
                                      EDGES.get(key, LOG_UNIFORM)))
-    if "N1" in values:
-        values["N1"] = float(round(values["N1"]))
     if {"T_K", "omega0_larmor_radps"} & keys:
         # sigma(0) scales as hbar omega0/(k_B T): draw the pair jointly,
         # with that ratio log-uniform in half of the draws
@@ -619,9 +645,12 @@ def _invocations(draw):
                                     "compare", "oracle")))
     if command == "oracle":
         # the grid suites run on the reference sample: no config to draw
-        return draw(st.sampled_from((["oracle", "fock", "--quick"],
+        args = draw(st.sampled_from((["oracle", "fock", "--quick"],
                                      ["oracle", "eigdist"],
-                                     ["oracle", "ksum"]))), None, None
+                                     ["oracle", "ksum"])))
+        if args[1] == "fock":
+            args = args + ["--tol", repr(draw(LOG_UNIFORM))]
+        return args, None, None
     args, data = [command], None
     if command == "evolve":
         args += ["--mode", draw(st.sampled_from(("free", "me"))), "--grid",
@@ -642,12 +671,14 @@ def _invocations(draw):
     return args, draw(_config_texts()), data
 
 
-def _check_payload(command, text, config):
+def _check_payload(command, text, config, code):
     """The output parses, and every number in it is finite, apart from
-    the decay times at the magic angle, whose exact limit is inf."""
+    the decay times at the magic angle, whose exact limit is inf.  An
+    oracle report has failures exactly when it exits 2."""
     if command == "oracle":
-        assert json.loads(text)["failures"] == 0
+        assert code == (2 if json.loads(text)["failures"] else 0)
         return
+    assert code == 0
     cfg = core.parse_config(config)
     # Omega0 is d^-3 times a factor of theta alone, zero at the magic angle
     magic = phonon.dipolar_coupling(1.0, cfg.theta) == 0.0
@@ -671,9 +702,11 @@ def _check_payload(command, text, config):
           "T_K = 1e-30\nomega0_larmor_radps = 1e300\n", None), False)
 @example((["sweep", "--n-grid", "1:1e30:3", "--vs-grid", "1e3:1e4:2"],
           MAGIC_CONFIG, None), False)
+@example((["oracle", "fock", "--quick", "--tol", "1e-16"], None, None), True)
 def test_cli_contract(invocation, to_file):
     # exit 0 with parseable output and no warnings, or one error: line,
-    # exit 1, no output and no --out file
+    # exit 1, no output and no --out file; an oracle whose --tol its
+    # points miss exits 2 with the whole report
     args, config, data = invocation
     with tempfile.TemporaryDirectory() as tmp:
         def write(name, text):
@@ -695,8 +728,7 @@ def test_cli_contract(invocation, to_file):
                 contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
             code = cli.main(args)
-        if code != 0:
-            assert code == 1
+        if code == 1:
             assert re.fullmatch(r"error: [^\n]+\n", stderr.getvalue())
             assert stdout.getvalue() == "" and not os.path.exists(out)
             return
@@ -709,4 +741,4 @@ def test_cli_contract(invocation, to_file):
             text = stdout.getvalue()
     if args[0] != "oracle":
         assert stderr.getvalue() == ""
-    _check_payload(args[0], text, config)
+    _check_payload(args[0], text, config, code)

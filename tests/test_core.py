@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -28,8 +29,10 @@ def test_gypsum_config_defaults():
     assert cfg.d == 0.153e-9
     assert cfg.a == 0.8e-9
     assert cfg.v_s == 4570.0
-    assert cfg.N1 == 100000
     assert cfg.beta > 0
+    # the sample holds no numerical grid: the ksum oracle owns its modes
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "d", "a", "v_s", "T", "N", "theta", "omega0_larmor"]
 
 
 def test_config_invariants():
@@ -37,8 +40,8 @@ def test_config_invariants():
         core.gypsum_config(d=-1.0)
     with pytest.raises(core.ConfigError, match="d < a"):
         core.gypsum_config(d=1e-9, a=0.5e-9)
-    with pytest.raises(core.ConfigError, match="N1 >= 2"):
-        core.gypsum_config(N1=1)
+    with pytest.raises(TypeError, match="N1"):
+        core.gypsum_config(N1=100000)
 
 
 def test_parse_config_roundtrip():
@@ -49,11 +52,12 @@ def test_parse_config_roundtrip():
     v_s_mps = 4570
     T_K = 300
     N = 1e23
-    N1 = 50000
+    theta_rad = 0.25
+    omega0_larmor_radps = 1e8
     """
     cfg = core.parse_config(text)
     assert cfg.v_s == 4570.0
-    assert cfg.N1 == 50000
+    assert (cfg.theta, cfg.omega0_larmor) == (0.25, 1e8)
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -72,9 +76,10 @@ def test_parse_config_errors(text, fragment):
 
 
 def test_parse_config_n1_must_be_integer():
+    # N1 is no config key: the ksum oracle owns its mode count
     text = ("d_m=0.153e-9\na_m=0.8e-9\nv_s_mps=4570\nT_K=300\nN=1e23\n"
             "N1=10.5\n")
-    with pytest.raises(core.ConfigError, match="N1"):
+    with pytest.raises(core.ConfigError, match="^line 6: unknown key N1$"):
         core.parse_config(text)
 
 

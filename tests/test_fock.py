@@ -142,6 +142,18 @@ def test_tail_bound_n_max():
         fock.tail_bound_n_max(0.1, (-0.3, 0.5), 0.25 * 1e-300 * 1.9e-12)
 
 
+@pytest.mark.parametrize("beta", [0.1, 1.0, 5.0])
+def test_tail_bound_n_max_at_target_past_tail_constant(beta):
+    # at target >= c = 2/(1-q)^2 the tail bound holds at every n >= 0,
+    # so the thermal tail takes no levels and only the displacement's
+    # 4 max|lam|^2 + 20 remain
+    c = 2.0 / (1.0 - math.exp(-beta)) ** 2
+    for target in (c, 2.0 * c, 1e20, 1e300, math.inf):
+        assert fock.tail_bound_n_max(beta, (0.3, -0.5), target) == 21
+        assert fock.tail_bound_n_max(beta, (), target) == 20
+    assert fock.tail_bound_n_max(beta, (), 0.5 * c) > 20
+
+
 def test_float64_records_of_a_group_share_one_cutoff(monkeypatch, capsys):
     calls = []
 

@@ -5,7 +5,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from pairdeco import core, phonon
+from pairdeco import core, oracles, phonon
 from pairdeco.core import ConfigError, gypsum_config
 
 
@@ -226,15 +226,26 @@ def test_free_sigma_exact_path_close_to_default(cfg):
 
 def test_discrete_kernel_sums_window_warning(cfg):
     with pytest.warns(UserWarning, match="window"):
-        phonon.discrete_kernel_sums(cfg, 1e-6, 0.0)
+        phonon.discrete_kernel_sums(cfg, 1e-6, 0.0, 100000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phonon.discrete_kernel_sums(cfg, 2e-10, 0.0)  # in window: no warning
+        phonon.discrete_kernel_sums(cfg, 2e-10, 0.0, 100000)  # in window
+        # the window's upper edge, n1 a/(10 v_s), follows the mode count
+        phonon.discrete_kernel_sums(cfg, 5e-12, 0.0, 1000)
+    with pytest.warns(UserWarning, match="window"):
+        phonon.discrete_kernel_sums(cfg, 5e-12, 0.0, 100)
+
+
+@pytest.mark.parametrize("n1", [1, 0, -4])
+def test_discrete_kernel_sums_rejects_fewer_than_two_modes(cfg, n1):
+    with pytest.raises(ConfigError, match="n1 >= 2"):
+        phonon.discrete_kernel_sums(cfg, 2e-10, 0.0, n1)
 
 
 def test_discrete_vs_closed_gamma(cfg):
     t = 2e-10
-    g_d, e_d, z_d = phonon.discrete_kernel_sums(cfg, t, 0.0)
+    g_d, e_d, z_d = phonon.discrete_kernel_sums(cfg, t, 0.0,
+                                                oracles.KSUM_MODES)
     g_c, e_c = phonon.closed_kernels(cfg, t)
     assert g_d == pytest.approx(g_c, rel=2e-2)
 
@@ -243,7 +254,7 @@ def test_discrete_vs_closed_gamma(cfg):
 def test_discrete_kernel_sums_match_full_grid_sum(n1):
     # the direct sum over q = +-1..+-N1/2 with partner coupling
     # g_k exp(-ikx), whose sin(kx) part the half-grid form drops
-    cfg = gypsum_config(N1=n1)
+    cfg = gypsum_config()
     half = n1 // 2
     q = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
     k = 2.0 * math.pi * q / (n1 * cfg.a)
@@ -262,6 +273,6 @@ def test_discrete_kernel_sums_match_full_grid_sum(n1):
                                         + np.sin(k * x) * (1.0 - np.cos(wt))))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # N1 this small: off-window
-                got = phonon.discrete_kernel_sums(cfg, t, x)
+                got = phonon.discrete_kernel_sums(cfg, t, x, n1)
             assert got == pytest.approx((gamma, epsilon, zeta), rel=1e-12,
                                         abs=0.0)
