@@ -201,15 +201,9 @@ def cmd_sweep(args):
 
 
 def cmd_oracle(args):
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise _UsageError(f"--tol must be finite and > 0, got {args.tol!r}")
     # open the file first: a bad --out fails before minutes of traces
     with _output(args.out) as out:
-        try:
-            reports = oracles.run_suites(which=args.which, tol=args.tol,
-                                         quick=args.quick)
-        except ConfigError as exc:  # a Fock cutoff that --tol sets
-            raise ConfigError(f"--tol {args.tol!r}: {exc}") from None
+        reports = oracles.run_suites(which=args.which, quick=args.quick)
         payload = {"reports": reports,
                    "failures": sum(r["failures"] for r in reports)}
         json.dump(payload, out, indent=2, sort_keys=True)
@@ -269,8 +263,6 @@ def build_parser():
     p = sub.add_parser("oracle", help="verification suites, JSON report")
     output(p)
     p.add_argument("which", choices=("fock", "eigdist", "ksum", "all"))
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative tolerance for the fock suite")
     p.add_argument("--quick", action="store_true",
                    help="reduced grid for smoke testing")
     p.set_defaults(func=cmd_oracle)

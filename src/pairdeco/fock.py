@@ -159,14 +159,14 @@ def tail_bound_n_max(beta, lambdas, target_abs):
     return n_max
 
 
-def converged_s_free(lambda_m, lambda_n, beta, times, tol):
-    """(numeric_s_free list, n_max) at the cutoff that truncates below tol."""
-    n_max = tail_bound_n_max(beta, (lambda_m, lambda_n), tol)
+def converged_s_free(lambda_m, lambda_n, beta, times, target):
+    """(numeric_s_free list, n_max), truncation error below target."""
+    n_max = tail_bound_n_max(beta, (lambda_m, lambda_n), target)
     return numeric_s_free(lambda_m, lambda_n, beta, times, n_max), n_max
 
 
-def converged_s_reversal(lambda_m, lambda_n, beta, times, f_B, tol):
-    """(numeric_s_reversal list, n_max) at the cutoff truncating below tol."""
-    n_max = tail_bound_n_max(beta, (lambda_m, lambda_n), tol)
+def converged_s_reversal(lambda_m, lambda_n, beta, times, f_B, target):
+    """(numeric_s_reversal list, n_max), truncation error below target."""
+    n_max = tail_bound_n_max(beta, (lambda_m, lambda_n), target)
     return (numeric_s_reversal(lambda_m, lambda_n, beta, times, f_B, n_max),
             n_max)

@@ -13,9 +13,11 @@ The fock grid runs per (lambda_m, lambda_n, beta) group and method.
 Strong-decoherence points (|S| below ``EXTENDED_THRESHOLD``) run on
 the double-double engine, where the float64 error floor, about 1e-15
 absolute, would swamp the relative comparison; the rest run in
-float64.  One method's points of a group share the cutoff
-``fock.tail_bound_n_max`` gives for a truncation error of 0.25 tol |S|
-at their smallest |S|, and each kind is one trace call over its times.
+float64.  Every point passes at a relative error of at most
+``FOCK_TOL``.  One method's points of a group share the cutoff
+``fock.tail_bound_n_max`` gives for a truncation error of
+0.25 FOCK_TOL |S| at their smallest |S|, and each kind is one trace
+call over its times.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ from .core import gypsum_config
 from .decoherence import s_mn
 from .magicecho import ideal_echo_schedule, reversal_exponent_k
 
+#: relative gate of every fock point: |numeric - closed| <= FOCK_TOL |closed|
+FOCK_TOL = 1e-8
+
 #: float64 traces err by <= 1.3e-15 absolute on the grid: <= 1.3e-11
-#: relative at |S| = 1e-4, 1/770 of the 1e-8 gate
+#: relative at |S| = 1e-4, 1/770 of FOCK_TOL
 EXTENDED_THRESHOLD = 1e-4
 
 #: documented verification grid (omega = 1 units); -0.2j has real part -0.0
@@ -54,7 +59,7 @@ def _fmt_c(z):
     return [float(z.real), float(z.imag)]
 
 
-def _point_record(kind, inputs, closed, numeric, n_used, method, tol):
+def _point_record(kind, inputs, closed, numeric, n_used, method):
     rel = abs(numeric - closed) / abs(closed)
     return {
         "kind": kind,
@@ -64,27 +69,22 @@ def _point_record(kind, inputs, closed, numeric, n_used, method, tol):
         "rel_err": float(rel),
         "n_max": int(n_used),
         "method": method,
-        "passed": bool(rel <= tol),
+        "passed": bool(rel <= FOCK_TOL),
     }
 
 
-def _target(points, tol):
-    """The truncation target of one method's points of a group."""
-    return min(0.25 * tol * abs(closed) for _, _, closed, _ in points)
-
-
-def _method_records(method, points, lm, ln, beta, tol):
+def _method_records(method, points, lm, ln, beta):
     """Records of one method's points of a (lambda_m, lambda_n, beta) group.
 
     ``points`` holds (kind, inputs, closed, timing) per point, in grid
     order.  They share one cutoff: the tail bound at the smallest target
-    0.25 tol |closed|, the largest cutoff any of them needs (a larger
-    cutoff only shrinks the truncation error).  Each kind is one trace
-    call over its times, and the extended calls share one set of
+    0.25 FOCK_TOL |closed|, the largest cutoff any of them needs (a
+    larger cutoff only shrinks the truncation error).  Each kind is one
+    trace call over its times, and the extended calls share one set of
     eigensystems.  A cutoff past the limit raises ConfigError before
     any eigensystem is built.
     """
-    target = _target(points, tol)
+    target = min(0.25 * FOCK_TOL * abs(closed) for _, _, closed, _ in points)
     n_max = fock.tail_bound_n_max(beta, (lm, ln), target)
     free = [t for kind, _, _, t in points if kind == "free"]
     scheds = [s for kind, _, _, s in points if kind == "reversal"]
@@ -108,11 +108,11 @@ def _method_records(method, points, lm, ln, beta, tol):
                 lm, ln, beta, pairs, scheds[0].f_B, n_max, eigensystems)
     numerics = {kind: iter(found) for kind, found in values.items()}
     return [_point_record(kind, inputs, closed, next(numerics[kind]), n_max,
-                          method, tol)
+                          method)
             for kind, inputs, closed, _ in points]
 
 
-def fock_suite(tol, quick=False):
+def fock_suite(quick=False):
     """Closed-form vs truncated-Fock agreement over the documented grid.
 
     Each grid time is the total evolution time; reversal points split it
@@ -121,14 +121,12 @@ def fock_suite(tol, quick=False):
     asserted separately.
 
     Every trace runs at a thermal-tail cutoff with truncation error
-    below 0.25 tol |closed|.  The points of one (lambda_m, lambda_n,
-    beta) group split by method: a closed form of modulus at least
-    EXTENDED_THRESHOLD runs the float64 trace, the others the
+    below 0.25 FOCK_TOL |closed|.  The points of one (lambda_m,
+    lambda_n, beta) group split by method: a closed form of modulus at
+    least EXTENDED_THRESHOLD runs the float64 trace, the others the
     double-double engine.  Each method's points run at one cutoff, the
     largest any of them needs, with one trace call per kind
-    (_method_records).  Every group's cutoffs are found before the
-    first trace, so a tol that needs one past the limit raises
-    ConfigError at once.  Each record's ``n_max`` is the cutoff its
+    (_method_records).  Each record's ``n_max`` is the cutoff its
     trace ran at.  Records keep grid order: per time, the free point
     then the reversal.  Each group ends with one progress line on
     stderr: its index, its methods, its largest ``n_max`` and the
@@ -139,8 +137,8 @@ def fock_suite(tol, quick=False):
     times = QUICK_TIMES if quick else GRID_TIMES
     groups = [(lm, ln, beta) for i, lm in enumerate(lambdas)
               for ln in lambdas[i:] for beta in betas]
-    plans = []
-    for lm, ln, beta in groups:
+    checks = []
+    for index, (lm, ln, beta) in enumerate(groups, 1):
         parts, order = {}, []
         for t in times:
             inputs = {"lambda_m": _fmt_c(complex(lm)),
@@ -156,14 +154,8 @@ def fock_suite(tol, quick=False):
                 parts.setdefault(method, []).append((kind, inputs, closed,
                                                      timing))
                 order.append(method)
-        # every cutoff before the first trace: a tol too small fails at once
-        for part in parts.values():
-            fock.tail_bound_n_max(beta, (lm, ln), _target(part, tol))
-        plans.append((lm, ln, beta, parts, order))
-    checks = []
-    for index, (lm, ln, beta, parts, order) in enumerate(plans, 1):
         start = time.perf_counter()
-        records = {m: iter(_method_records(m, part, lm, ln, beta, tol))
+        records = {m: iter(_method_records(m, part, lm, ln, beta))
                    for m, part in parts.items()}
         group = [next(records[method]) for method in order]
         checks += group
@@ -342,11 +334,11 @@ def _report(suite, checks):
             "total": len(checks)}
 
 
-def run_suites(which, tol, quick):
+def run_suites(which, quick):
     """Run the requested suites; returns a list of reports."""
     reports = []
     if which in ("fock", "all"):
-        reports.append(fock_suite(tol=tol, quick=quick))
+        reports.append(fock_suite(quick=quick))
     if which in ("eigdist", "all"):
         reports.append(eigdist_suite())
     if which in ("ksum", "all"):

@@ -322,10 +322,11 @@ def _evolve_sigma(cfg, sigma0, t, exact_path, energy_phase):
     if energy_phase:
         phase = _phase(rates.nu0, dk, ts)
         out = out * phase
-    # tau_X = inf at the magic angle gives an envelope of exactly 1; an
+    # tau_X = inf at the magic angle gives an envelope of exactly 1, also
+    # where dk t overflows (fmax takes the nan of inf/inf to 0); an
     # exponent that overflows to -inf gives exp(-inf) = 0, the exact limit
-    with np.errstate(over="ignore"):
-        envelope = np.exp(-((dk * ts / rates.tau_X) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(-np.fmax((dk * ts / rates.tau_X) ** 2, 0.0))
     out = out * envelope
     if exact_path:
         ksq = np.subtract.outer(kappa**2, kappa**2)

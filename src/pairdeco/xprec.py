@@ -5,7 +5,8 @@ module docstring derives: the gauge-reduced real tridiagonals, their
 eigensystems, the overlaps V_a^T diag(c w) V_b and the phase sums, at
 the cutoff ``fock.tail_bound_n_max`` gives.  ``fock`` evaluates it in
 float64, whose absolute error floor, about 1e-15 on the oracle grid,
-leaves a 1e-8 *relative* comparison meaningless once |S| nears 1e-7.
+leaves the oracle's *relative* gate ``oracles.FOCK_TOL`` meaningless
+once |S| nears 1e-7.
 Here the same traces carry ~1e-30 arithmetic, so the comparison stays
 meaningful down to |S| ~ 1e-16.
 It works in omega = 1 units: times are omega*t and inverse

@@ -80,7 +80,7 @@ def test_criterion_05_fock_oracle_equivalence():
     points run on the double-double engine.  Runtime 5-7 s on a 2-CPU
     machine.
     """
-    report = oracles.fock_suite(tol=1e-8)
+    report = oracles.fock_suite()
     bad = [c for c in report["checks"] if not c["passed"]]
     assert not bad, f"failing grid points: {bad[:3]}"
     grid_points = [c for c in report["checks"] if "rel_err" in c]

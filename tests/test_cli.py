@@ -346,43 +346,60 @@ def test_sweep_monotone_in_n(tmp_path):
     assert all(b < a for a, b in zip(taus, taus[1:]))
 
 
-def test_oracle_quick_and_exit_codes(tmp_path):
+def test_oracle_quick_and_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "oracle.json"
     assert run(["oracle", "ksum", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["failures"] == 0
-    # a tolerance below the float64 floor must fail with exit code 2
-    assert run(["oracle", "fock", "--quick", "--tol", "1e-16",
-                "--out", str(out)]) == 2
+    # a gate below the float64 floor fails with exit code 2 and the
+    # whole report
+    monkeypatch.setattr(cli.oracles, "FOCK_TOL", 1e-16)
+    assert run(["oracle", "fock", "--quick", "--out", str(out)]) == 2
     payload = json.loads(out.read_text())
     assert payload["failures"] > 0
+    n_lambdas = len(cli.oracles.QUICK_LAMBDAS)
+    groups = n_lambdas * (n_lambdas + 1) // 2 * len(cli.oracles.QUICK_BETAS)
+    points = [c for c in payload["reports"][0]["checks"] if "rel_err" in c]
+    assert len(points) == 2 * groups * len(cli.oracles.QUICK_TIMES)
 
 
 def test_oracle_cutoff_past_limit_is_config_error(tmp_path, capsys,
                                                   monkeypatch):
+    monkeypatch.setattr(cli.oracles, "FOCK_TOL", 1e-300)
     for name in ("numeric_s_free", "numeric_s_reversal"):
         monkeypatch.setattr(cli.oracles.fock, name,
                             lambda *_: pytest.fail("trace built"))
     out = tmp_path / "oracle.json"
-    assert run(["oracle", "fock", "--quick", "--tol", "1e-300",
-                "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --tol 1e-300: ") and "cutoff of" in err
-    assert len(err.splitlines()) == 1
+    assert run(["oracle", "fock", "--quick", "--out", str(out)]) == 1
+    assert re.fullmatch(r"error: truncation target \S+ needs a Fock cutoff "
+                        r"of \d+, above the limit of 700\n",
+                        capsys.readouterr().err)
     assert not out.exists()
 
 
-def test_oracle_tol_too_small_fails_before_any_trace(capsys, monkeypatch):
-    # tol 1e-15 is fine for the first groups and too small for a later one
-    monkeypatch.setattr(cli.oracles.xprec, "tridiag_eigh_dd",
-                        lambda *_: pytest.fail("eigensystem built"))
-    monkeypatch.setattr(cli.oracles.fock.np.linalg, "eigh",
-                        lambda *_: pytest.fail("eigensystem built"))
-    assert run(["oracle", "fock", "--tol", "1e-15"]) == 1
+@pytest.mark.parametrize("tol", ["1e5", "1e20", "1e300", "1e308"])
+def test_oracle_large_tol_passes(tol, tmp_path, monkeypatch):
+    # a truncation target past the tail constant needs no thermal levels
+    monkeypatch.setattr(cli.oracles, "FOCK_TOL", float(tol))
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "fock", "--quick", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["failures"] == 0
+    assert min(c["n_max"] for c in report["reports"][0]["checks"]
+               if "n_max" in c) >= 21
+
+
+@pytest.mark.parametrize("tol", ["1e-8", "0", "-1", "nan", "inf", "-inf"])
+def test_oracle_rejects_bad_tol(tol, tmp_path, capsys):
+    # the relative gate is the constant oracles.FOCK_TOL: --tol is no
+    # option, whatever its value
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "fock", "--quick", "--tol", tol,
+                "--out", str(out)]) == 1
     captured = capsys.readouterr()
+    assert captured.err == f"error: unrecognized arguments: --tol {tol}\n"
     assert captured.out == ""
-    assert re.fullmatch(r"error: --tol 1e-15: .*cutoff of \d+, above the "
-                        r"limit of 700\n", captured.err)
+    assert not out.exists()
 
 
 def test_oracle_fock_progress_on_stderr(tmp_path, capsys):
@@ -398,30 +415,6 @@ def test_oracle_fock_progress_on_stderr(tmp_path, capsys):
                             r"float64, n_max \d+, \d+\.\d\d s", line)
     assert captured.out == ""
     assert json.loads(out.read_text())["failures"] == 0
-
-
-@pytest.mark.parametrize("tol", ["1e5", "1e20", "1e300", "1e308"])
-def test_oracle_large_tol_passes(tol, tmp_path, capsys):
-    # a truncation target past the tail constant needs no thermal levels
-    out = tmp_path / "oracle.json"
-    assert run(["oracle", "fock", "--quick", "--tol", tol,
-                "--out", str(out)]) == 0
-    assert "Traceback" not in capsys.readouterr().err
-    report = json.loads(out.read_text())
-    assert report["failures"] == 0
-    assert min(c["n_max"] for c in report["reports"][0]["checks"]
-               if "n_max" in c) >= 21
-
-
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf"])
-def test_oracle_rejects_bad_tol(tol, tmp_path, capsys):
-    out = tmp_path / "oracle.json"
-    assert run(["oracle", "fock", "--quick", "--tol", tol,
-                "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--tol" in err
-    assert len(err.splitlines()) == 1
-    assert not out.exists()
 
 
 def test_oracle_eigdist(tmp_path):
@@ -648,8 +641,6 @@ def _invocations(draw):
         args = draw(st.sampled_from((["oracle", "fock", "--quick"],
                                      ["oracle", "eigdist"],
                                      ["oracle", "ksum"])))
-        if args[1] == "fock":
-            args = args + ["--tol", repr(draw(LOG_UNIFORM))]
         return args, None, None
     args, data = [command], None
     if command == "evolve":
@@ -674,11 +665,11 @@ def _invocations(draw):
 def _check_payload(command, text, config, code):
     """The output parses, and every number in it is finite, apart from
     the decay times at the magic angle, whose exact limit is inf.  An
-    oracle report has failures exactly when it exits 2."""
-    if command == "oracle":
-        assert code == (2 if json.loads(text)["failures"] else 0)
-        return
+    oracle report has no failed check."""
     assert code == 0
+    if command == "oracle":
+        assert json.loads(text)["failures"] == 0
+        return
     cfg = core.parse_config(config)
     # Omega0 is d^-3 times a factor of theta alone, zero at the magic angle
     magic = phonon.dipolar_coupling(1.0, cfg.theta) == 0.0
@@ -702,11 +693,12 @@ def _check_payload(command, text, config, code):
           "T_K = 1e-30\nomega0_larmor_radps = 1e300\n", None), False)
 @example((["sweep", "--n-grid", "1:1e30:3", "--vs-grid", "1e3:1e4:2"],
           MAGIC_CONFIG, None), False)
-@example((["oracle", "fock", "--quick", "--tol", "1e-16"], None, None), True)
+@example((["evolve", "--mode", "free", "--grid", "0:1e308:2"],
+          MAGIC_CONFIG, None), False)
 def test_cli_contract(invocation, to_file):
     # exit 0 with parseable output and no warnings, or one error: line,
-    # exit 1, no output and no --out file; an oracle whose --tol its
-    # points miss exits 2 with the whole report
+    # exit 1, no output and no --out file; every drawn oracle exits 0
+    # with no failed check
     args, config, data = invocation
     with tempfile.TemporaryDirectory() as tmp:
         def write(name, text):
@@ -729,6 +721,7 @@ def test_cli_contract(invocation, to_file):
             warnings.simplefilter("always")
             code = cli.main(args)
         if code == 1:
+            assert args[0] != "oracle"
             assert re.fullmatch(r"error: [^\n]+\n", stderr.getvalue())
             assert stdout.getvalue() == "" and not os.path.exists(out)
             return

@@ -165,8 +165,7 @@ def test_float64_records_of_a_group_share_one_cutoff(monkeypatch, capsys):
 
     for name in ("converged_s_free", "converged_s_reversal"):
         monkeypatch.setattr(fock, name, counted(getattr(fock, name)))
-    tol = 1e-8
-    report = oracles.fock_suite(tol, quick=True)
+    report = oracles.fock_suite(quick=True)
     groups = {}
     for c in report["checks"]:
         if "rel_err" in c:
@@ -180,5 +179,6 @@ def test_float64_records_of_a_group_share_one_cutoff(monkeypatch, capsys):
     assert len(calls) == 2 * len(groups)
     for (lm, ln, beta), records in groups.items():
         smallest = min(abs(complex(*c["closed_form"])) for c in records)
-        cutoff = fock.tail_bound_n_max(beta, (lm, ln), 0.25 * tol * smallest)
+        cutoff = fock.tail_bound_n_max(beta, (lm, ln),
+                                       0.25 * oracles.FOCK_TOL * smallest)
         assert {c["n_max"] for c in records} == {cutoff}

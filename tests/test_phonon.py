@@ -160,6 +160,16 @@ def test_rate_constants_magic_angle(cfg):
     assert math.isinf(r.tau_gamma)
 
 
+def test_free_sigma_at_magic_angle_keeps_sigma0_past_overflow():
+    # tau_X = inf: no decay, also where (km - kn) t overflows to inf
+    cfg = gypsum_config(theta=math.acos(1.0 / math.sqrt(3.0)))
+    s0 = np.arange(16.0).reshape(4, 4) + 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = phonon.free_sigma(cfg, s0, [0.0, 1e308])
+    assert np.array_equal(s, [s0, s0])
+
+
 def test_rate_constants_scaling(cfg):
     r0 = phonon.rate_constants(cfg)
     r_vs = phonon.rate_constants(gypsum_config(v_s=2 * cfg.v_s))

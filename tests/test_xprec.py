@@ -480,6 +480,7 @@ def test_tridiag_eigh_dd_rejects_close_eigenvalues():
 
 
 def test_group_cutoff_past_gate_raises_before_any_build(monkeypatch):
+    monkeypatch.setattr(oracles, "FOCK_TOL", 1e-300)
     monkeypatch.setattr(xp, "tridiag_eigh_dd",
                         lambda *_: pytest.fail("eigensystem built"))
     monkeypatch.setattr(fock.np.linalg, "eigh",
@@ -490,7 +491,7 @@ def test_group_cutoff_past_gate_raises_before_any_build(monkeypatch):
                                    ("float64", 0.5 + 0j, 7004)):
         points = [("free", {}, closed, t), ("reversal", {}, closed, sched)]
         with pytest.raises(ConfigError, match=f"cutoff of {cutoff}"):
-            oracles._method_records(method, points, lm, ln, beta, 1e-300)
+            oracles._method_records(method, points, lm, ln, beta)
 
 
 def test_s_free_x_matches_float64_easy_point():
