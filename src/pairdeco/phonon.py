@@ -20,6 +20,10 @@ from .core import GAMMA_P, HBAR, K_B, KAPPA_VALUES, M_P, MU_0, ConfigError
 from .decoherence import condensed_kernels
 from .eigdist import sum_width
 
+#: modes discrete_kernel_sums takes per block; it bounds the per-mode
+#: arrays, so peak memory does not grow with the mode count
+_KSUM_BLOCK = 8192
+
 
 def dipolar_coupling(d, theta=0.0):
     """Secular dipolar coupling strength of one proton pair, rad/s.
@@ -363,6 +367,12 @@ def discrete_kernel_sums(cfg, t, x, n1):
     k > 0 half grid at twice the weight: |g_k|^2 and omega_k are even in
     k and the sin(kx) part of the cross term is odd, so the partner
     coupling g_k cos(kx) gives the whole sum.
+
+    The half grid is summed in blocks of a fixed number of modes, each
+    block through condensed_kernels, so memory does not depend on n1.
+    Adding the block sums reassociates the sum over the modes: against
+    one sum over the whole half grid the results move in the last bits
+    only, and not at all when n1/2 fits in one block.
     """
     if n1 < 2:
         raise ConfigError("n1 >= 2 violated")
@@ -376,11 +386,15 @@ def discrete_kernel_sums(cfg, t, x, n1):
             f"({lower:g}, {upper:g}) s; finite-size artifacts dominate",
             stacklevel=2,
         )
-    k = 2.0 * math.pi * np.arange(1, n1 // 2 + 1) / (n1 * cfg.a)
-    omega = cfg.v_s * k
-    g = acoustic_coupling(k, cfg)
-    kernels = condensed_kernels({"A": g, "A'": g * np.cos(k * x)}, "A",
-                                omega, {"A'": 0.0}, cfg.beta, t)
+    gamma = epsilon = zeta = 0.0
+    for lo in range(0, n1 // 2, _KSUM_BLOCK):
+        hi = min(lo + _KSUM_BLOCK, n1 // 2)
+        k = 2.0 * math.pi * np.arange(lo + 1, hi + 1) / (n1 * cfg.a)
+        g = acoustic_coupling(k, cfg)
+        kernels = condensed_kernels({"A": g, "A'": g * np.cos(k * x)}, "A",
+                                    cfg.v_s * k, {"A'": 0.0}, cfg.beta, t)
+        gamma += kernels.gamma_A
+        epsilon += kernels.epsilon_A
+        zeta += kernels.zeta["A'"]
     weight = 2.0 * cfg.N / n1
-    return (weight * kernels.gamma_A, weight * kernels.epsilon_A,
-            weight * kernels.zeta["A'"])
+    return weight * gamma, weight * epsilon, weight * zeta

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import namedtuple
 
@@ -7,6 +8,7 @@ import pytest
 
 from pairdeco import core, oracles, phonon
 from pairdeco.core import ConfigError, gypsum_config
+from pairdeco.decoherence import condensed_kernels
 
 
 @pytest.fixture
@@ -286,3 +288,49 @@ def test_discrete_kernel_sums_match_full_grid_sum(n1):
                 got = phonon.discrete_kernel_sums(cfg, t, x, n1)
             assert got == pytest.approx((gamma, epsilon, zeta), rel=1e-12,
                                         abs=0.0)
+
+
+@pytest.mark.parametrize("n1", [64, 65])
+def test_discrete_kernel_sums_match_full_grid_sum_in_small_blocks(
+        n1, monkeypatch):
+    # 7-mode blocks: the 32 modes of the half grid span 4 whole blocks
+    # and a partial one
+    monkeypatch.setattr(phonon, "_KSUM_BLOCK", 7)
+    test_discrete_kernel_sums_match_full_grid_sum(n1)
+
+
+_B = phonon._KSUM_BLOCK
+
+
+@pytest.mark.parametrize("n1", [2, 3, 2 * _B - 2, 2 * _B, 2 * _B + 1,
+                                2 * _B + 2, 6 * _B + 5])
+def test_discrete_kernel_sums_blocks_match_whole_half_grid(cfg, n1):
+    # one condensed_kernels call over the whole k > 0 half grid at
+    # weight 2N/n1: the blocks differ from it by reassociation only
+    k = 2.0 * math.pi * np.arange(1, n1 // 2 + 1) / (n1 * cfg.a)
+    g = phonon.acoustic_coupling(k, cfg)
+    weight = 2.0 * cfg.N / n1
+    for t in (2e-12, 2e-10):
+        for x in (0.0, cfg.a, 2.5 * cfg.a):
+            whole = condensed_kernels({"A": g, "A'": g * np.cos(k * x)},
+                                      "A", cfg.v_s * k, {"A'": 0.0},
+                                      cfg.beta, t)
+            want = (weight * whole.gamma_A, weight * whole.epsilon_A,
+                    weight * whole.zeta["A'"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # off-window at small n1
+                got = phonon.discrete_kernel_sums(cfg, t, x, n1)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_discrete_kernel_sums_memory_does_not_grow_with_modes(cfg):
+    # the ksum oracle's 4e5-mode window-consistency sum; over the whole
+    # half grid at once it needs about 24 MiB
+    tracemalloc.start()
+    try:
+        phonon.discrete_kernel_sums(cfg, 2e-10, 0.0,
+                                    4 * oracles.KSUM_MODES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
