@@ -2,17 +2,19 @@
 
 Usage: python3 scripts/bench_record.py PR [CHECKOUT]
 
-Runs ``perfbench/run.py`` once per workload that ``BENCHMARK.json``
-declares (seed 1, the declared run length, untraced), then the
-full-grid ``oracle fock`` on one BLAS thread, then the Tier-1 test
-suite, all inside CHECKOUT (default: this repository).  Writes
-``BENCH_<PR>.json`` at the root of this repository with, per workload,
-the run's machine line and result line, plus the line count of
-``src/`` as ``src_lines`` and its count of code lines as
-``src_code_lines``, the full-grid oracle's wall time as
-``fock_full_s`` and the Tier-1 wall time and summary line.  A checkout
-of an older commit is measured with the same script, so two files
-differ only in the code they measured.
+Runs ``perfbench/run.py`` RUNS times per workload that
+``BENCHMARK.json`` declares (seed 1, the declared run length, untraced,
+the workloads in turn), then the full-grid ``oracle fock`` RUNS times
+on one BLAS thread, then the Tier-1 test suite, all inside CHECKOUT
+(default: this repository).  Writes ``BENCH_<PR>.json`` at the root of
+this repository with, per workload, the first run's machine line, the
+median result line (see ``median_result``) and every run's result
+line as ``runs``; the line count of ``src/`` as ``src_lines`` and its
+count of code lines as ``src_code_lines``; the full-grid oracle's
+median wall time as ``fock_full_s`` and every run's as
+``fock_full_runs_s``; and the Tier-1 wall time and summary line.  A
+checkout of an older commit is measured with the same script, so two
+files differ only in the code they measured.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import io
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import time
@@ -30,6 +33,9 @@ import tokenize
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+#: runs per workload and of the full-grid oracle: one run drifts by more
+#: than the benchmark's bounds, so each figure is the median of these
+RUNS = 3
 
 
 def run_workload(checkout, command, name, seconds):
@@ -44,6 +50,22 @@ def run_workload(checkout, command, name, seconds):
                  f"{proc.stderr.strip()[-500:]}")
     return {"machine": json.loads(lines[-2])["machine"],
             "result": json.loads(lines[-1])}
+
+
+def median_result(results):
+    """One result line from the result lines of several runs of a workload.
+
+    Each metric's value is the median of its runs; ``correct`` holds only
+    if every run was correct, and ``attempted`` and ``failed`` are sums.
+    """
+    return {"correct": all(r["correct"] for r in results),
+            "attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "metrics": {name: {"unit": metric["unit"],
+                               "value": statistics.median(
+                                   r["metrics"][name]["value"]
+                                   for r in results)}
+                        for name, metric in results[0]["metrics"].items()}}
 
 
 def src_lines(checkout):
@@ -133,15 +155,23 @@ def main(argv=None):
                             capture_output=True, text=True).stdout.strip()
     record = {"pr": pr, "commit": commit, "seed": SEED,
               "seconds": spec["run_seconds"], "workloads": {}}
-    for workload in spec["workloads"]:
-        name = workload["name"]
-        print(f"bench_record: {name}", file=sys.stderr)
-        record["workloads"][name] = run_workload(
-            checkout, spec["command"], name, spec["run_seconds"])
+    runs = {workload["name"]: [] for workload in spec["workloads"]}
+    for i in range(RUNS):
+        for name, got in runs.items():
+            print(f"bench_record: {name}, run {i + 1}/{RUNS}",
+                  file=sys.stderr)
+            got.append(run_workload(checkout, spec["command"], name,
+                                    spec["run_seconds"]))
+    for name, got in runs.items():
+        results = [run["result"] for run in got]
+        record["workloads"][name] = {"machine": got[0]["machine"],
+                                     "result": median_result(results),
+                                     "runs": results}
     record["src_lines"] = src_lines(checkout)
     record["src_code_lines"] = src_code_lines(checkout)
     print("bench_record: full-grid oracle fock", file=sys.stderr)
-    record["fock_full_s"] = fock_full(checkout)
+    record["fock_full_runs_s"] = [fock_full(checkout) for _ in range(RUNS)]
+    record["fock_full_s"] = statistics.median(record["fock_full_runs_s"])
     print("bench_record: tier-1 tests", file=sys.stderr)
     record["tier1"] = tier1(checkout)
     out = ROOT / f"BENCH_{pr}.json"

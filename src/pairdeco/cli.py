@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -174,9 +175,7 @@ def cmd_sweep(args):
     vs_grid = _parse_grid(args.vs_grid)
 
     def rates(n, vs):
-        return phonon.rate_constants(gypsum_config(
-            d=cfg.d, a=cfg.a, T=cfg.T, theta=cfg.theta, N=float(n),
-            v_s=float(vs)))
+        return phonon.rate_constants(replace(cfg, N=float(n), v_s=float(vs)))
     # tau_X = decay_time(nu_D(v_s), sigma_X(N)): each axis value gets its
     # checks at one cell of its row or column, the first row first
     nu_d = [rates(n_grid[0], vs).nuD for vs in vs_grid]

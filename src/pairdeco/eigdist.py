@@ -12,8 +12,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-#: kappa value -> multiplicity for a single pair (two kappa=1 levels).
-SINGLE_PAIR = {1: 2, 0: 1, -2: 1}
+from .core import KAPPA_VALUES
+
+#: kappa value -> multiplicity for a single pair (two kappa=1 levels), in
+#: descending kappa: the count tables keep this order, and exact_envelope
+#: sums in it.
+SINGLE_PAIR = {k: KAPPA_VALUES.count(k) for k in sorted(KAPPA_VALUES)[::-1]}
 
 #: runtime budget; counts stay exact (big integers) at any N.
 MAX_N = 24

@@ -355,24 +355,27 @@ def _phase(freq, factor, ts):
     return np.exp(arg)
 
 
-def discrete_kernel_sums(cfg, t, x, n1):
-    """Direct mode sums for (gamma, epsilon, zeta), units m^2 s^2.
+def discrete_kernel_sums(cfg, t, xs, n1):
+    """Direct mode sums (gamma, epsilon, [zeta(x) for x in xs]), m^2 s^2.
 
     Sums over the 1-D grid of n1 modes along the pair axis, k_q =
     2 pi q/(n1 a), q = +-1..+-n1/2, with each grid mode standing for
     N/n1 of the full bath.  Valid inside the window a/v_s << t <<
     n1 a/v_s (warned outside); this is the oracle for the closed kernels.
 
-    These are condensed_kernels with a partner displaced by x, over the
-    k > 0 half grid at twice the weight: |g_k|^2 and omega_k are even in
-    k and the sin(kx) part of the cross term is odd, so the partner
-    coupling g_k cos(kx) gives the whole sum.
+    These are condensed_kernels with one partner per offset x in xs, the
+    sequence of partner offsets (it may be empty), over the k > 0 half
+    grid at twice the weight: |g_k|^2 and omega_k are even in k and the
+    sin(kx) part of the cross term is odd, so the partner coupling
+    g_k cos(kx) gives the whole sum.  Partners are keyed by their
+    position in xs, so a repeated offset keeps its own zeta, and each
+    zeta has the bits of a call with that offset alone.
 
     The half grid is summed in blocks of a fixed number of modes, each
-    block through condensed_kernels, so memory does not depend on n1.
-    Adding the block sums reassociates the sum over the modes: against
-    one sum over the whole half grid the results move in the last bits
-    only, and not at all when n1/2 fits in one block.
+    block through one condensed_kernels call, so memory does not depend
+    on n1.  Adding the block sums reassociates the sum over the modes:
+    against one sum over the whole half grid the results move in the
+    last bits only, and not at all when n1/2 fits in one block.
     """
     if n1 < 2:
         raise ConfigError("n1 >= 2 violated")
@@ -386,15 +389,14 @@ def discrete_kernel_sums(cfg, t, x, n1):
             f"({lower:g}, {upper:g}) s; finite-size artifacts dominate",
             stacklevel=2,
         )
-    gamma = epsilon = zeta = 0.0
+    sums = np.zeros(2 + len(xs))  # gamma, epsilon, then zeta per offset
     for lo in range(0, n1 // 2, _KSUM_BLOCK):
         hi = min(lo + _KSUM_BLOCK, n1 // 2)
         k = 2.0 * math.pi * np.arange(lo + 1, hi + 1) / (n1 * cfg.a)
         g = acoustic_coupling(k, cfg)
-        kernels = condensed_kernels({"A": g, "A'": g * np.cos(k * x)}, "A",
-                                    cfg.v_s * k, {"A'": 0.0}, cfg.beta, t)
-        gamma += kernels.gamma_A
-        epsilon += kernels.epsilon_A
-        zeta += kernels.zeta["A'"]
-    weight = 2.0 * cfg.N / n1
-    return weight * gamma, weight * epsilon, weight * zeta
+        partners = {i: g * np.cos(k * x) for i, x in enumerate(xs)}
+        kernels = condensed_kernels({"A": g, **partners}, "A", cfg.v_s * k,
+                                    dict.fromkeys(partners, 0.0), cfg.beta, t)
+        sums += [kernels.gamma_A, kernels.epsilon_A, *kernels.zeta.values()]
+    gamma, epsilon, *zetas = (2.0 * cfg.N / n1 * sums).tolist()
+    return gamma, epsilon, zetas

@@ -1,15 +1,22 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from pairdeco import eigdist
+from pairdeco import core, eigdist
 
 
 def test_single_pair_table():
     t = eigdist.exact_counts(1)
     assert t.counts == {1: 2, 0: 1, -2: 1}
     assert t.total() == 4
+
+
+def test_single_pair_multiplicities_match_kappa_values():
+    assert eigdist.SINGLE_PAIR == Counter(core.KAPPA_VALUES)
+    # exact_envelope sums in the table's order, which this one sets
+    assert list(eigdist.SINGLE_PAIR) == [1, 0, -2]
 
 
 def test_two_pair_table():

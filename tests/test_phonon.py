@@ -238,25 +238,25 @@ def test_free_sigma_exact_path_close_to_default(cfg):
 
 def test_discrete_kernel_sums_window_warning(cfg):
     with pytest.warns(UserWarning, match="window"):
-        phonon.discrete_kernel_sums(cfg, 1e-6, 0.0, 100000)
+        phonon.discrete_kernel_sums(cfg, 1e-6, (0.0,), 100000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phonon.discrete_kernel_sums(cfg, 2e-10, 0.0, 100000)  # in window
+        phonon.discrete_kernel_sums(cfg, 2e-10, (0.0,), 100000)  # in window
         # the window's upper edge, n1 a/(10 v_s), follows the mode count
-        phonon.discrete_kernel_sums(cfg, 5e-12, 0.0, 1000)
+        phonon.discrete_kernel_sums(cfg, 5e-12, (), 1000)
     with pytest.warns(UserWarning, match="window"):
-        phonon.discrete_kernel_sums(cfg, 5e-12, 0.0, 100)
+        phonon.discrete_kernel_sums(cfg, 5e-12, (0.0, cfg.a), 100)
 
 
 @pytest.mark.parametrize("n1", [1, 0, -4])
 def test_discrete_kernel_sums_rejects_fewer_than_two_modes(cfg, n1):
     with pytest.raises(ConfigError, match="n1 >= 2"):
-        phonon.discrete_kernel_sums(cfg, 2e-10, 0.0, n1)
+        phonon.discrete_kernel_sums(cfg, 2e-10, (0.0,), n1)
 
 
 def test_discrete_vs_closed_gamma(cfg):
     t = 2e-10
-    g_d, e_d, z_d = phonon.discrete_kernel_sums(cfg, t, 0.0,
+    g_d, e_d, z_d = phonon.discrete_kernel_sums(cfg, t, (0.0,),
                                                 oracles.KSUM_MODES)
     g_c, e_c = phonon.closed_kernels(cfg, t)
     assert g_d == pytest.approx(g_c, rel=2e-2)
@@ -275,19 +275,20 @@ def test_discrete_kernel_sums_match_full_grid_sum(n1):
           * np.sin(k * cfg.d / 2.0) ** 2)
     base = cfg.N / n1 * g2 / omega**2
     coth_f = 1.0 / np.tanh(cfg.beta * omega / 2.0)
+    xs = (0.0, cfg.a, 2.5 * cfg.a)
     for t in (2e-12, 7e-12):
         wt = omega * t
         osc = np.sin(wt) - wt
         gamma = np.sum(2.0 * base * np.sin(wt / 2.0) ** 2 * coth_f)
         epsilon = np.sum(base * osc)
-        for x in (0.0, cfg.a, 2.5 * cfg.a):
-            zeta = np.sum(2.0 * base * (np.cos(k * x) * osc
-                                        + np.sin(k * x) * (1.0 - np.cos(wt))))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # N1 this small: off-window
-                got = phonon.discrete_kernel_sums(cfg, t, x, n1)
-            assert got == pytest.approx((gamma, epsilon, zeta), rel=1e-12,
-                                        abs=0.0)
+        zetas = [np.sum(2.0 * base * (np.cos(k * x) * osc
+                                      + np.sin(k * x) * (1.0 - np.cos(wt))))
+                 for x in xs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # N1 this small: off-window
+            g_d, e_d, z_d = phonon.discrete_kernel_sums(cfg, t, xs, n1)
+        assert [g_d, e_d, *z_d] == pytest.approx([gamma, epsilon, *zetas],
+                                                 rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n1", [64, 65])
@@ -310,27 +311,64 @@ def test_discrete_kernel_sums_blocks_match_whole_half_grid(cfg, n1):
     k = 2.0 * math.pi * np.arange(1, n1 // 2 + 1) / (n1 * cfg.a)
     g = phonon.acoustic_coupling(k, cfg)
     weight = 2.0 * cfg.N / n1
+    xs = (0.0, cfg.a, 2.5 * cfg.a)
     for t in (2e-12, 2e-10):
-        for x in (0.0, cfg.a, 2.5 * cfg.a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # off-window at small n1
+            g_d, e_d, z_d = phonon.discrete_kernel_sums(cfg, t, xs, n1)
+        for x, zeta in zip(xs, z_d, strict=True):
             whole = condensed_kernels({"A": g, "A'": g * np.cos(k * x)},
                                       "A", cfg.v_s * k, {"A'": 0.0},
                                       cfg.beta, t)
             want = (weight * whole.gamma_A, weight * whole.epsilon_A,
                     weight * whole.zeta["A'"])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # off-window at small n1
-                got = phonon.discrete_kernel_sums(cfg, t, x, n1)
-            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert (g_d, e_d, zeta) == pytest.approx(want, rel=1e-13,
+                                                     abs=0.0)
 
 
 def test_discrete_kernel_sums_memory_does_not_grow_with_modes(cfg):
-    # the ksum oracle's 4e5-mode window-consistency sum; over the whole
-    # half grid at once it needs about 24 MiB
-    tracemalloc.start()
-    try:
-        phonon.discrete_kernel_sums(cfg, 2e-10, 0.0,
-                                    4 * oracles.KSUM_MODES)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    # the ksum oracle's 4e5-mode window-consistency sum (over the whole
+    # half grid at once it needs about 24 MiB) and its 1e5-mode sum with
+    # three partners
+    for t, xs, n1 in ((2e-10, (), 4 * oracles.KSUM_MODES),
+                      (1e-6, (0.0, cfg.a, 3.0 * cfg.a), oracles.KSUM_MODES)):
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # 1 us is off-window
+                phonon.discrete_kernel_sums(cfg, t, xs, n1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (t, len(xs), n1)
+
+
+@pytest.mark.parametrize("n1", [64, 6 * _B + 5])
+def test_discrete_kernel_sums_offsets_match_one_offset_calls(cfg, n1):
+    # a repeated offset keeps its own partner; each zeta has the bits of
+    # a call with that offset alone, gamma and epsilon those of no offset
+    xs = (cfg.a, 0.0, 3.0 * cfg.a, cfg.a, 2.5 * cfg.a)
+    for t in (2e-12, 2e-10, 1e-6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # off-window at some t
+            g_d, e_d, z_d = phonon.discrete_kernel_sums(cfg, t, xs, n1)
+            assert (g_d, e_d, []) == phonon.discrete_kernel_sums(cfg, t, (),
+                                                                 n1)
+            assert z_d == [phonon.discrete_kernel_sums(cfg, t, (x,), n1)[2][0]
+                           for x in xs]
+
+
+def test_ksum_suite_makes_three_kernel_sums(cfg, monkeypatch):
+    calls = []
+    real = phonon.discrete_kernel_sums
+
+    def counted(cfg_, t, xs, n1):
+        calls.append((t, n1, tuple(xs)))
+        return real(cfg_, t, xs, n1)
+
+    monkeypatch.setattr(phonon, "discrete_kernel_sums", counted)
+    report = oracles.ksum_suite()
+    n1 = oracles.KSUM_MODES
+    assert sorted(calls) == [(2e-10, n1, ()), (2e-10, 4 * n1, ()),
+                             (1e-6, n1, (0.0, cfg.a, 3.0 * cfg.a))]
+    assert report["total"] == 6 and report["failures"] == 0
