@@ -1,20 +1,24 @@
-"""Record one BENCH_<pr>.json: the benchmark, the source size and Tier-1.
+"""Record one BENCH_<pr>.json: the benchmark against the parent commit,
+the source size and Tier-1.
 
 Usage: python3 scripts/bench_record.py PR [CHECKOUT]
 
-Runs ``perfbench/run.py`` RUNS times per workload that
-``BENCHMARK.json`` declares (seed 1, the declared run length, untraced,
-the workloads in turn), then the full-grid ``oracle fock`` RUNS times
-on one BLAS thread, then the Tier-1 test suite, all inside CHECKOUT
-(default: this repository).  Writes ``BENCH_<PR>.json`` at the root of
-this repository with, per workload, the first run's machine line, the
-median result line (see ``median_result``) and every run's result
-line as ``runs``; the line count of ``src/`` as ``src_lines`` and its
-count of code lines as ``src_code_lines``; the full-grid oracle's
-median wall time as ``fock_full_s`` and every run's as
-``fock_full_runs_s``; and the Tier-1 wall time and summary line.  A
-checkout of an older commit is measured with the same script, so two
-files differ only in the code they measured.
+Clones the parent commit (HEAD~1) of CHECKOUT (default: this
+repository) into a temporary directory, removed afterwards.  Then runs
+``perfbench/run.py`` RUNS times per workload that ``BENCHMARK.json``
+declares (seed 1, the declared run length, untraced), each time on
+CHECKOUT and on the parent in turn, alternating which goes first; then
+the full-grid ``oracle fock`` RUNS times on one BLAS thread, paired the
+same way; then the Tier-1 test suite inside CHECKOUT.  Writes
+``BENCH_<PR>.json`` at the root of this repository with, per workload,
+the first run's machine line, the median result line (see
+``median_result``) and every run's result line as ``runs``; the line
+count of ``src/`` as ``src_lines`` and its count of code lines as
+``src_code_lines``; the full-grid oracle's median wall time as
+``fock_full_s`` and every run's as ``fock_full_runs_s``; and the Tier-1
+wall time and summary line.  The same figures of the parent, its
+``commit``, ``workloads``, ``fock_full_s`` and ``fock_full_runs_s``,
+go under ``parent``, so each file holds its own paired comparison.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tokenize
 
@@ -144,34 +149,75 @@ def tier1(checkout):
             "summary": lines[-1] if lines else ""}
 
 
+def git(checkout, *args):
+    """The stripped output of one git command run in CHECKOUT."""
+    proc = subprocess.run(["git", *args], cwd=checkout,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_record: git {' '.join(args)}: "
+                 f"{proc.stderr.strip()}")
+    return proc.stdout.strip()
+
+
+def measure(checkout, parent, spec):
+    """Workload runs and full-grid oracle times of both commits, paired.
+
+    Run i of each workload, and of the oracle, runs CHECKOUT first when
+    i is even and PARENT first when it is odd.
+    """
+    got = {side: {"runs": {workload["name"]: []
+                           for workload in spec["workloads"]},
+                  "fock": []} for side in (checkout, parent)}
+    pairs = [(checkout, parent) if i % 2 == 0 else (parent, checkout)
+             for i in range(RUNS)]
+    for i, pair in enumerate(pairs):
+        for workload in spec["workloads"]:
+            name = workload["name"]
+            for side in pair:
+                print(f"bench_record: {name}, run {i + 1}/{RUNS}, {side}",
+                      file=sys.stderr)
+                got[side]["runs"][name].append(run_workload(
+                    side, spec["command"], name, spec["run_seconds"]))
+    for pair in pairs:
+        for side in pair:
+            print(f"bench_record: full-grid oracle fock, {side}",
+                  file=sys.stderr)
+            got[side]["fock"].append(fock_full(side))
+    return got
+
+
+def summary(got):
+    """The BENCH keys of one commit's runs, as ``measure`` gives them."""
+    workloads = {}
+    for name, runs in got["runs"].items():
+        results = [run["result"] for run in runs]
+        workloads[name] = {"machine": runs[0]["machine"],
+                           "result": median_result(results),
+                           "runs": results}
+    return {"workloads": workloads, "fock_full_runs_s": got["fock"],
+            "fock_full_s": statistics.median(got["fock"])}
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) not in (1, 2) or not argv[0].isdigit():
-        sys.exit(__doc__.splitlines()[2])
+        sys.exit(__doc__.splitlines()[3])
     pr = int(argv[0])
     checkout = pathlib.Path(argv[1] if len(argv) > 1 else ROOT).resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                            capture_output=True, text=True).stdout.strip()
+    commit = git(checkout, "rev-parse", "HEAD")
+    parent_commit = git(checkout, "rev-parse", "HEAD~1")
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = pathlib.Path(tmp) / "parent"
+        git(tmp, "clone", "--quiet", "--no-checkout", str(checkout),
+            str(parent))
+        git(parent, "checkout", "--quiet", parent_commit)
+        got = measure(checkout, parent, spec)
     record = {"pr": pr, "commit": commit, "seed": SEED,
-              "seconds": spec["run_seconds"], "workloads": {}}
-    runs = {workload["name"]: [] for workload in spec["workloads"]}
-    for i in range(RUNS):
-        for name, got in runs.items():
-            print(f"bench_record: {name}, run {i + 1}/{RUNS}",
-                  file=sys.stderr)
-            got.append(run_workload(checkout, spec["command"], name,
-                                    spec["run_seconds"]))
-    for name, got in runs.items():
-        results = [run["result"] for run in got]
-        record["workloads"][name] = {"machine": got[0]["machine"],
-                                     "result": median_result(results),
-                                     "runs": results}
-    record["src_lines"] = src_lines(checkout)
-    record["src_code_lines"] = src_code_lines(checkout)
-    print("bench_record: full-grid oracle fock", file=sys.stderr)
-    record["fock_full_runs_s"] = [fock_full(checkout) for _ in range(RUNS)]
-    record["fock_full_s"] = statistics.median(record["fock_full_runs_s"])
+              "seconds": spec["run_seconds"], **summary(got[checkout]),
+              "parent": {"commit": parent_commit, **summary(got[parent])},
+              "src_lines": src_lines(checkout),
+              "src_code_lines": src_code_lines(checkout)}
     print("bench_record: tier-1 tests", file=sys.stderr)
     record["tier1"] = tier1(checkout)
     out = ROOT / f"BENCH_{pr}.json"

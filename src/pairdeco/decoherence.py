@@ -1,8 +1,10 @@
 """Closed-form decoherence machinery for eigen-selective dephasing.
 
 Per-mode decoherence exponents, their product over a mode family, and
-the condensed single-element kernels used when many equivalent elements
-share a bath.
+the condensed single-element reduction used when many equivalent
+elements share a bath: the kernels of one representative element A,
+with its cross kernel zeta against each partner A' summed as the
+partners are read, and the reduced-matrix element they give.
 """
 
 from __future__ import annotations
@@ -86,38 +88,26 @@ def s_mn(modes, beta, t):
     return cmath.exp(-total_gamma - 1j * total_upsilon)
 
 
-@dataclass(frozen=True)
-class CondensedKernels:
-    """Kernels of the condensed (single representative element) reduction.
+def condensed_kernels(g_a, partners, omegas, beta, t):
+    """Bath kernels for one representative element A among many.
 
+    g_a       per-mode complex couplings g_k of A
+    partners  iterable of per-mode couplings of the partner elements A',
+              read one at a time
+    omegas    per-mode frequencies, rad/s
+
+    Returns (gamma_A, epsilon_A, [zeta_A' for each partner], in their
+    order), all in s^2 with lambda carrying rad/s per unit coupling:
     gamma_A multiplies (lambda_m - lambda_n)^2, epsilon_A multiplies
-    (lambda_m^2 - lambda_n^2), chi_A multiplies (lambda_m - lambda_n);
-    all in s^2 with lambda carrying rad/s per unit coupling.  The zeta
-    table is indexed by partner element and excludes the target itself.
+    (lambda_m^2 - lambda_n^2), and zeta_A' is A's cross kernel with one
+    partner.  A partner traced out in a fixed level of eigenvalue
+    kappa_A' adds kappa_A' zeta_A' to chi_A, which multiplies
+    (lambda_m - lambda_n) (see condensed_sigma_element).
     """
-
-    gamma_A: float
-    epsilon_A: float
-    zeta: dict
-    chi_A: float
-
-
-def condensed_kernels(couplings, target, omegas, kappa_partner, beta, t):
-    """Bath kernels for one representative element among many.
-
-    couplings      mapping element id -> per-mode complex couplings g_k
-    target         id of the representative element A
-    omegas         per-mode frequencies, rad/s
-    kappa_partner  mapping partner id -> its interaction eigenvalue
-                   lambda_{m_A'} (the partners are traced out in a fixed
-                   level, so a single eigenvalue each)
-    """
-    if target not in couplings:
-        raise ValueError(f"target {target!r} missing from couplings")
     omegas = np.asarray(omegas, dtype=float)
     if np.any(omegas == 0):
         raise SingularModeError("omega = 0 mode must be excluded upstream")
-    g_a = np.asarray(couplings[target], dtype=complex)
+    g_a = np.asarray(g_a, dtype=complex)
     if g_a.shape != omegas.shape:
         raise ValueError("mode sequences misaligned")
     wt = omegas * t
@@ -126,34 +116,31 @@ def condensed_kernels(couplings, target, omegas, kappa_partner, beta, t):
     abs2 = np.abs(g_a) ** 2 / omegas**2
     gamma_a = float(np.sum(2.0 * abs2 * np.sin(wt / 2.0) ** 2 * coth_f))
     epsilon_a = float(np.sum(abs2 * osc))
-    zeta = {}
-    chi_a = 0.0
-    for partner, g_p in couplings.items():
-        if partner == target:
-            continue
+    zeta = []
+    for g_p in partners:
         g_p = np.asarray(g_p, dtype=complex)
         if g_p.shape != omegas.shape:
             raise ValueError("mode sequences misaligned")
         cross = g_a * np.conj(g_p)
-        z = float(np.sum(2.0 / omegas**2
-                         * (cross.real * osc
-                            - cross.imag * (1.0 - np.cos(wt)))))
-        zeta[partner] = z
-        chi_a += kappa_partner[partner] * z
-    return CondensedKernels(gamma_A=gamma_a, epsilon_A=epsilon_a,
-                            zeta=zeta, chi_A=float(chi_a))
+        zeta.append(float(np.sum(2.0 / omegas**2
+                                 * (cross.real * osc
+                                    - cross.imag * (1.0 - np.cos(wt))))))
+    return gamma_a, epsilon_a, zeta
 
 
 def condensed_sigma_element(rho0_elem, E_m, E_n, lambda_m, lambda_n,
-                            kernels, t):
+                            gamma_A, epsilon_A, chi_A, t):
     """One element of the condensed reduced matrix.
 
     rho(0) * exp(-i(E_m-E_n)t) * exp(-(lm-ln)^2 gamma_A)
            * exp(-i(lm^2-ln^2) epsilon_A) * exp(-i(lm-ln) chi_A)
+
+    gamma_A and epsilon_A are condensed_kernels' first two sums, and
+    chi_A = sum over partners of kappa_A' zeta_A'.
     """
     diff = lambda_m - lambda_n
     return (rho0_elem
             * cmath.exp(-1j * (E_m - E_n) * t)
-            * cmath.exp(-(diff**2) * kernels.gamma_A)
-            * cmath.exp(-1j * (lambda_m**2 - lambda_n**2) * kernels.epsilon_A)
-            * cmath.exp(-1j * diff * kernels.chi_A))
+            * cmath.exp(-(diff**2) * gamma_A)
+            * cmath.exp(-1j * (lambda_m**2 - lambda_n**2) * epsilon_A)
+            * cmath.exp(-1j * diff * chi_A))

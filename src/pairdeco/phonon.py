@@ -367,9 +367,10 @@ def discrete_kernel_sums(cfg, t, xs, n1):
     sequence of partner offsets (it may be empty), over the k > 0 half
     grid at twice the weight: |g_k|^2 and omega_k are even in k and the
     sin(kx) part of the cross term is odd, so the partner coupling
-    g_k cos(kx) gives the whole sum.  Partners are keyed by their
-    position in xs, so a repeated offset keeps its own zeta, and each
-    zeta has the bits of a call with that offset alone.
+    g_k cos(kx) gives the whole sum.  The partners are read one at a
+    time, in the order of xs, so a repeated offset keeps its own zeta,
+    each zeta has the bits of a call with that offset alone, and memory
+    does not grow with the number of offsets.
 
     The half grid is summed in blocks of a fixed number of modes, each
     block through one condensed_kernels call, so memory does not depend
@@ -394,9 +395,8 @@ def discrete_kernel_sums(cfg, t, xs, n1):
         hi = min(lo + _KSUM_BLOCK, n1 // 2)
         k = 2.0 * math.pi * np.arange(lo + 1, hi + 1) / (n1 * cfg.a)
         g = acoustic_coupling(k, cfg)
-        partners = {i: g * np.cos(k * x) for i, x in enumerate(xs)}
-        kernels = condensed_kernels({"A": g, **partners}, "A", cfg.v_s * k,
-                                    dict.fromkeys(partners, 0.0), cfg.beta, t)
-        sums += [kernels.gamma_A, kernels.epsilon_A, *kernels.zeta.values()]
+        gamma, epsilon, zetas = condensed_kernels(
+            g, (g * np.cos(k * x) for x in xs), cfg.v_s * k, cfg.beta, t)
+        sums += [gamma, epsilon, *zetas]
     gamma, epsilon, *zetas = (2.0 * cfg.N / n1 * sums).tolist()
     return gamma, epsilon, zetas

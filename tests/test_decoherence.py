@@ -64,34 +64,63 @@ def test_conjugate_swap_symmetry():
 def test_condensed_kernels_match_single_mode_exponents():
     omegas = np.array([1.0, 2.0, 3.0])
     g_a = np.array([0.1j, -0.05j, 0.02j])
-    couplings = {"A": g_a}
-    k = dc.condensed_kernels(couplings, "A", omegas, {}, 0.9, 1.4)
+    gamma, epsilon, zeta = dc.condensed_kernels(g_a, (), omegas, 0.9, 1.4)
     # gamma_A and epsilon_A against the generic exponent with lm=g, ln=0
-    gamma_direct = sum(
-        dc.decoherence_exponent_k(g, 0.0, w, 0.9, 1.4).gamma / abs(g) ** 2
-        * abs(g) ** 2
-        for g, w in zip(g_a, omegas))
-    assert k.gamma_A == pytest.approx(gamma_direct, rel=1e-12)
+    gamma_direct = sum(dc.decoherence_exponent_k(g, 0.0, w, 0.9, 1.4).gamma
+                       for g, w in zip(g_a, omegas))
+    assert gamma == pytest.approx(gamma_direct, rel=1e-12)
     eps_direct = sum(abs(g) ** 2 / w**2 * (math.sin(w * 1.4) - w * 1.4)
                      for g, w in zip(g_a, omegas))
-    assert k.epsilon_A == pytest.approx(eps_direct, rel=1e-12)
-    assert k.zeta == {}
-    assert k.chi_A == 0.0
+    assert epsilon == pytest.approx(eps_direct, rel=1e-12)
+    assert zeta == []
 
 
 def test_condensed_kernels_partner_cross_term():
     omegas = np.array([1.0, 2.0])
-    couplings = {"A": np.array([0.1j, 0.2j]),
-                 "B": np.array([0.05j, -0.1j])}
-    k = dc.condensed_kernels(couplings, "A", omegas, {"B": 2.0}, 1.0, 0.8)
-    assert set(k.zeta) == {"B"}
-    assert k.chi_A == pytest.approx(2.0 * k.zeta["B"])
+    g_a = np.array([0.1j, 0.2j])
+    g_b = np.array([0.03 + 0.05j, -0.1j])
+    _, _, zeta = dc.condensed_kernels(g_a, [g_b, 2.0 * g_b, g_b], omegas,
+                                      1.0, 0.8)
+    # one zeta per partner, in order: a partner in a fixed level shifts
+    # both of A's eigenvalues by its coupling, lm = g_a + g_b and
+    # ln = g_b, and zeta is what that adds to Re(upsilon)
+    direct = sum(
+        dc.decoherence_exponent_k(a + b, b, w, 1.0, 0.8).upsilon.real
+        - dc.decoherence_exponent_k(a, 0.0, w, 1.0, 0.8).upsilon.real
+        for a, b, w in zip(g_a, g_b, omegas))
+    assert zeta == pytest.approx([direct, 2.0 * direct, direct])
+    assert zeta[0] == zeta[2]
+
+
+def test_condensed_kernels_rejects_misaligned_couplings_of_a():
+    with pytest.raises(ValueError, match="misaligned"):
+        dc.condensed_kernels(np.array([0.1j, 0.2j, 0.3j]), (),
+                             np.array([1.0, 2.0]), 1.0, 0.8)
+
+
+def test_condensed_kernels_rejects_misaligned_later_partner():
+    read = []
+
+    def partners():
+        for g_p in (np.array([0.05j, -0.1j]), np.array([0.05j])):
+            read.append(g_p)
+            yield g_p
+
+    with pytest.raises(ValueError, match="misaligned"):
+        dc.condensed_kernels(np.array([0.1j, 0.2j]), partners(),
+                             np.array([1.0, 2.0]), 1.0, 0.8)
+    assert len(read) == 2  # the first partner was summed first
+
+
+def test_condensed_kernels_rejects_zero_frequency_mode():
+    with pytest.raises(dc.SingularModeError):
+        dc.condensed_kernels(np.array([0.1j, 0.2j]), (),
+                             np.array([1.0, 0.0]), 1.0, 0.8)
 
 
 def test_condensed_sigma_element_phases():
-    kernels = dc.CondensedKernels(gamma_A=0.1, epsilon_A=0.05,
-                                  zeta={}, chi_A=0.2)
-    out = dc.condensed_sigma_element(1.0, 2.0, 1.0, 0.4, -0.1, kernels, 0.3)
+    out = dc.condensed_sigma_element(1.0, 2.0, 1.0, 0.4, -0.1,
+                                     0.1, 0.05, 0.2, 0.3)
     expected = (cmath.exp(-1j * 1.0 * 0.3)
                 * cmath.exp(-(0.5**2) * 0.1)
                 * cmath.exp(-1j * (0.16 - 0.01) * 0.05)

@@ -317,11 +317,9 @@ def test_discrete_kernel_sums_blocks_match_whole_half_grid(cfg, n1):
             warnings.simplefilter("ignore")  # off-window at small n1
             g_d, e_d, z_d = phonon.discrete_kernel_sums(cfg, t, xs, n1)
         for x, zeta in zip(xs, z_d, strict=True):
-            whole = condensed_kernels({"A": g, "A'": g * np.cos(k * x)},
-                                      "A", cfg.v_s * k, {"A'": 0.0},
-                                      cfg.beta, t)
-            want = (weight * whole.gamma_A, weight * whole.epsilon_A,
-                    weight * whole.zeta["A'"])
+            gamma, epsilon, (zeta_whole,) = condensed_kernels(
+                g, [g * np.cos(k * x)], cfg.v_s * k, cfg.beta, t)
+            want = (weight * gamma, weight * epsilon, weight * zeta_whole)
             assert (g_d, e_d, zeta) == pytest.approx(want, rel=1e-13,
                                                      abs=0.0)
 
@@ -329,18 +327,24 @@ def test_discrete_kernel_sums_blocks_match_whole_half_grid(cfg, n1):
 def test_discrete_kernel_sums_memory_does_not_grow_with_modes(cfg):
     # the ksum oracle's 4e5-mode window-consistency sum (over the whole
     # half grid at once it needs about 24 MiB) and its 1e5-mode sum with
-    # three partners
-    for t, xs, n1 in ((2e-10, (), 4 * oracles.KSUM_MODES),
-                      (1e-6, (0.0, cfg.a, 3.0 * cfg.a), oracles.KSUM_MODES)):
+    # three partners; nor with the offsets: eight of them cost at most
+    # one block's partner array (8192 complex modes, 128 KiB) over one
+    def peak(t, xs, n1):
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # 1 us is off-window
                 phonon.discrete_kernel_sums(cfg, t, xs, n1)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20, (t, len(xs), n1)
+
+    for t, xs, n1 in ((2e-10, (), 4 * oracles.KSUM_MODES),
+                      (1e-6, (0.0, cfg.a, 3.0 * cfg.a), oracles.KSUM_MODES)):
+        assert peak(t, xs, n1) < 2 * 2**20, (t, len(xs), n1)
+    one = peak(1e-6, (0.0,), oracles.KSUM_MODES)
+    eight = peak(1e-6, tuple(i * cfg.a for i in range(8)), oracles.KSUM_MODES)
+    assert eight - one <= 16 * phonon._KSUM_BLOCK, (one, eight)
 
 
 @pytest.mark.parametrize("n1", [64, 6 * _B + 5])
