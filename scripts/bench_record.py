@@ -9,16 +9,19 @@ repository) into a temporary directory, removed afterwards.  Then runs
 declares (seed 1, the declared run length, untraced), each time on
 CHECKOUT and on the parent in turn, alternating which goes first; then
 the full-grid ``oracle fock`` RUNS times on one BLAS thread, paired the
-same way; then the Tier-1 test suite inside CHECKOUT.  Writes
+same way, and RUNS times more with OpenBLAS's default thread count,
+paired the same way; then the Tier-1 test suite inside CHECKOUT.  Writes
 ``BENCH_<PR>.json`` at the root of this repository with, per workload,
 the first run's machine line, the median result line (see
 ``median_result``) and every run's result line as ``runs``; the line
 count of ``src/`` as ``src_lines`` and its count of code lines as
 ``src_code_lines``; the full-grid oracle's median wall time as
-``fock_full_s`` and every run's as ``fock_full_runs_s``; and the Tier-1
-wall time and summary line.  The same figures of the parent, its
-``commit``, ``workloads``, ``fock_full_s`` and ``fock_full_runs_s``,
-go under ``parent``, so each file holds its own paired comparison.
+``fock_full_s`` and every run's as ``fock_full_runs_s``, and those with
+the default thread count as ``fock_full_default_blas_s`` and
+``fock_full_default_blas_runs_s``; and the Tier-1 wall time and summary
+line.  The same figures of the parent, its ``commit``, ``workloads`` and
+the four full-grid keys, go under ``parent``, so each file holds its
+own paired comparison.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 #: runs per workload and of the full-grid oracle: one run drifts by more
 #: than the benchmark's bounds, so each figure is the median of these
 RUNS = 3
+#: the thread-count variables of the BLAS builds numpy may load
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 def run_workload(checkout, command, name, seconds):
@@ -116,16 +122,19 @@ def checkout_env(checkout):
     return env
 
 
-def fock_full(checkout):
-    """Wall seconds of ``oracle fock`` on the full grid, one BLAS thread.
+def fock_full(checkout, pinned):
+    """Wall seconds of ``oracle fock`` on the full grid.
 
-    The benchmark's grid-verify holds only part of the grid's float64
-    points and double-double groups; this times all of them.
+    With PINNED, every BLAS thread variable is 1; else all are unset, so
+    OpenBLAS runs its default of one thread per CPU.  The benchmark's
+    grid-verify holds only part of the grid's float64 points and
+    double-double groups; this times all of them.
     """
     env = checkout_env(checkout)
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
-        env[name] = "1"
+    for name in BLAS_THREAD_VARS:
+        env.pop(name, None)
+        if pinned:
+            env[name] = "1"
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "pairdeco.cli", "oracle",
                            "fock"], cwd=checkout, env=env,
@@ -162,12 +171,14 @@ def git(checkout, *args):
 def measure(checkout, parent, spec):
     """Workload runs and full-grid oracle times of both commits, paired.
 
-    Run i of each workload, and of the oracle, runs CHECKOUT first when
-    i is even and PARENT first when it is odd.
+    Run i of each workload, and of the oracle on one BLAS thread and
+    then with the default thread count, runs CHECKOUT first when i is
+    even and PARENT first when it is odd.
     """
     got = {side: {"runs": {workload["name"]: []
                            for workload in spec["workloads"]},
-                  "fock": []} for side in (checkout, parent)}
+                  "fock": [], "fock_default_blas": []}
+           for side in (checkout, parent)}
     pairs = [(checkout, parent) if i % 2 == 0 else (parent, checkout)
              for i in range(RUNS)]
     for i, pair in enumerate(pairs):
@@ -178,11 +189,12 @@ def measure(checkout, parent, spec):
                       file=sys.stderr)
                 got[side]["runs"][name].append(run_workload(
                     side, spec["command"], name, spec["run_seconds"]))
-    for pair in pairs:
-        for side in pair:
-            print(f"bench_record: full-grid oracle fock, {side}",
-                  file=sys.stderr)
-            got[side]["fock"].append(fock_full(side))
+    for key, pinned in (("fock", True), ("fock_default_blas", False)):
+        for pair in pairs:
+            for side in pair:
+                print(f"bench_record: full-grid oracle fock, {key}, {side}",
+                      file=sys.stderr)
+                got[side][key].append(fock_full(side, pinned))
     return got
 
 
@@ -195,7 +207,10 @@ def summary(got):
                            "result": median_result(results),
                            "runs": results}
     return {"workloads": workloads, "fock_full_runs_s": got["fock"],
-            "fock_full_s": statistics.median(got["fock"])}
+            "fock_full_s": statistics.median(got["fock"]),
+            "fock_full_default_blas_runs_s": got["fock_default_blas"],
+            "fock_full_default_blas_s": statistics.median(
+                got["fock_default_blas"])}
 
 
 def main(argv=None):

@@ -361,7 +361,8 @@ def discrete_kernel_sums(cfg, t, xs, n1):
     Sums over the 1-D grid of n1 modes along the pair axis, k_q =
     2 pi q/(n1 a), q = +-1..+-n1/2, with each grid mode standing for
     N/n1 of the full bath.  Valid inside the window a/v_s << t <<
-    n1 a/v_s (warned outside); this is the oracle for the closed kernels.
+    n1 a/v_s, taken as 10 a/v_s <= t <= n1 a/(10 v_s) (a UserWarning
+    outside names these bounds); this is the oracle for the closed kernels.
 
     These are condensed_kernels with one partner per offset x in xs, the
     sequence of partner offsets (it may be empty), over the k > 0 half
@@ -382,12 +383,12 @@ def discrete_kernel_sums(cfg, t, xs, n1):
         raise ConfigError("n1 >= 2 violated")
     if t < 0:
         raise ValueError("t >= 0 required")
-    lower = cfg.a / cfg.v_s
-    upper = n1 * cfg.a / cfg.v_s
-    if not lower * 10.0 <= t <= upper / 10.0:
+    lower = cfg.a / cfg.v_s * 10.0
+    upper = n1 * cfg.a / cfg.v_s / 10.0
+    if not lower <= t <= upper:
         warnings.warn(
             f"discrete_kernel_sums: t = {t:g} s outside the window "
-            f"({lower:g}, {upper:g}) s; finite-size artifacts dominate",
+            f"[{lower:g}, {upper:g}] s; finite-size artifacts dominate",
             stacklevel=2,
         )
     sums = np.zeros(2 + len(xs))  # gamma, epsilon, then zeta per offset

@@ -23,29 +23,31 @@ thermal weights as powers of exp(-beta) and the gauge by complex
 products, each tested against a 50-digit reference.
 
 dd_matmul and tridiag_eigh_dd, most of the time taken here, the
-scaled operands of _overlap and s_reversal_x and the row sums of
-_bilinear work on panels of _PANEL rows or columns, which _share hands
-out to this thread and, on a machine that gives the process a second
-CPU, one worker thread.  Each output entry takes the same float64
-operations in the same order on either thread, so the results are
-bit-identical for any thread count.  Two rules bound the worker.  It
-allocates only panel-sized arrays, as whole-size temporaries on two
-threads, each with its own glibc malloc arena, raise the peak
-resident set.  And it calls none of s_free_x, s_reversal_x,
-tridiag_eigh_dd and dd_matmul, so a tracer that wraps them, as
-perfbench's does with one span stack, sees every span on the calling
-thread.
+stacked operands of _times_real and the row sums of _bilinear work on
+panels of _PANEL rows or columns, which _share hands out to this thread
+and, on a machine that gives the process a second CPU, one worker
+thread.  Each output entry takes the same float64 operations in the
+same order on either thread, so the results are bit-identical for any
+thread count.  Two rules bound the worker.  It allocates only
+panel-sized arrays, as whole-size temporaries on two threads, each with
+its own glibc malloc arena, raise the peak resident set.  And it calls
+none of s_free_x, s_reversal_x, tridiag_eigh_dd and dd_matmul, so a
+tracer that wraps them, as perfbench's does with one span stack, sees
+every span on the calling thread.
 
-The matrices are Franck-Condon bands: in one grid-verify pass 67-75%
-of the entries of each overlap and 56-67% of each stacked echo product
-are exact zeros, and the eigenvectors' far tails lie below the last
-slice.  dd_matmul maps its right operand by chunks of rows, keeping
-each chunk's slices only over the columns that can hold a nonzero
-slice, and multiplies tile by tile; tridiag_eigh_dd's normalization,
-projection and correction and _bilinear's products work on each
-panel's nonzero window alone.  All give the bits of the whole-width
-passes; sums whose pairing depends on the length run over the whole
-length, zeros embedded.
+Every overlap V_a^T diag(c) V_b, and every complex x real product of an
+echo trace, is one _times_real: a single dd_matmul whose left operand
+stacks the real rows of the complex factor over the imaginary ones and
+is overwritten by the product.  The matrices are Franck-Condon bands:
+in one grid-verify pass 67-75% of the entries of each overlap and
+56-67% of each stacked echo product are exact zeros, and the
+eigenvectors' far tails lie below the last slice.  dd_matmul maps its
+right operand by chunks of rows, keeping each chunk's slices only over
+the columns that can hold a nonzero slice, and multiplies tile by tile;
+tridiag_eigh_dd's normalization, projection and correction and
+_bilinear's products work on each panel's nonzero window alone.  All
+give the bits of the whole-width passes; sums whose pairing depends on
+the length run over the whole length, zeros embedded.
 """
 
 from __future__ import annotations
@@ -285,18 +287,17 @@ def _share(func, panels):
 
     The panel passes are dd_matmul's band map of B by chunks of rows
     (_band_map) and its products by rows of A; tridiag_eigh_dd's
-    normalization, projection and correction by columns; _overlap's
-    scaled operand and s_reversal_x's stacked operand by rows; and
-    _bilinear's row sums.  The panels go in order to whichever thread
-    is free.  A call writes only its own panel of arrays the caller
-    allocated, or its own key of a dict, and reads nothing another call
-    writes, so the results do not depend on _THREADS.  It keeps the
-    module docstring's two rules.  Measured for the first: with each
-    reversal time's whole trace on a thread instead, a two-point oracle
-    run peaked at 156-170 MiB resident, 151-154 MiB with one glibc
-    arena, against 129-131 MiB.  Nor may it call _share, whose work
-    would queue behind itself on the worker.  An exception in a call is
-    raised here, once both threads are done.
+    normalization, projection and correction by columns; _times_real's
+    stacked operand by rows; and _bilinear's row sums.  The panels go
+    in order to whichever thread is free.  A call writes only its own
+    panel of arrays the caller allocated, or its own key of a dict, and
+    reads nothing another call writes, so the results do not depend on
+    _THREADS.  It keeps the module docstring's two rules.  Measured for
+    the first: with each reversal time's whole trace on a thread
+    instead, a two-point oracle run peaked at 156-170 MiB resident,
+    151-154 MiB with one glibc arena, against 129-131 MiB.  Nor may it
+    call _share, whose work would queue behind itself on the worker.  An
+    exception in a call is raised here, once both threads are done.
     """
     global _worker
     todo = iter(panels)
@@ -488,7 +489,7 @@ def dd_matmul(a, b, *, out=None):
     so each output entry takes the same float64 operations whichever
     panel or thread forms it.  A panel reads its rows of A before it
     writes the same rows of the result, so ``out``, a keyword, may be A
-    itself, as in s_reversal_x; else a new pair is returned.
+    itself, as in _times_real; else a new pair is returned.
     """
     k = a[0].shape[1]
     if b[0].shape[0] != k:
@@ -537,10 +538,6 @@ def dd_matmul(a, b, *, out=None):
 
     _share(panel, _panels(m))
     return out
-
-
-def dd_transpose(x):
-    return x[0].T.copy(), x[1].T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -706,13 +703,41 @@ def _mode_system(lam, f, n_max, eigensystems):
     return eigvals, vectors, u
 
 
+def _times_real(mat, col_phase, real):
+    """(mat D) @ real, D = diag(col_phase), in one dd_matmul.
+
+    ``mat`` and ``col_phase`` are complex dd, their imaginary parts None
+    if zero, and ``real`` is dd.  The left operand stacks the real rows
+    of mat D over the imaginary ones, or holds the real rows alone when
+    mat D is real; each row panel is formed in place by cdd_mul, on the
+    panels that _share hands out, and the product is written over the
+    operand, so the real factor is sliced once.  Returns (re, im), the
+    top and bottom parts, with im None when mat D is real.
+    """
+    m = mat[0][0].shape[0]
+    parts = 1 if mat[1] is None and col_phase[1] is None else 2
+    stacked = (np.empty((parts * m, real[0].shape[0])),
+               np.empty((parts * m, real[0].shape[0])))
+    phase = _cdd_map(lambda x: x[None, :], col_phase)
+
+    def scale(rows):
+        product = cdd_mul(_cdd_map(lambda x: x[rows], mat), phase)
+        for i, part in enumerate(product[:parts]):
+            below = slice(rows.start + i * m, rows.stop + i * m)
+            stacked[0][below], stacked[1][below] = part
+
+    _share(scale, _panels(m))
+    dd_matmul(stacked, real, out=stacked)
+    return tuple((stacked[0][i * m:(i + 1) * m], stacked[1][i * m:(i + 1) * m])
+                 if i < parts else None for i in range(2))
+
+
 def _overlap(sys_a, sys_b, weights=None):
     """V_a^T diag(c) V_b with c_j = (u_a conj(u_b))^j, times weights_j.
 
     The double-double form of ``fock._overlap``, for _mode_system
-    results.  Returns (re, im) with im None when every c_j is real;
-    then one dd_matmul forms it, else two.  Each part of diag(c) V_b is
-    formed on panels of rows, shared by _share.
+    results: one _times_real of V_a^T by c and V_b.  Returns (re, im)
+    with im None when every c_j is real.
     """
     (_, v_a, u_a), (_, v_b, u_b) = sys_a, sys_b
     ratio = cdd_mul(u_a, (u_b[0], dd_neg(u_b[1])))
@@ -721,21 +746,7 @@ def _overlap(sys_a, sys_b, weights=None):
     c = _powers(ratio, v_a[0].shape[0])
     if weights is not None:
         c = cdd_mul(c, (weights, None))
-    a_t = dd_transpose(v_a)
-
-    def scaled(x):
-        """diag(x) V_b for a dd vector x."""
-        out = np.empty_like(v_b[0]), np.empty_like(v_b[0])
-
-        def scale(rows):
-            out[0][rows], out[1][rows] = dd_mul(
-                (x[0][rows, None], x[1][rows, None]),
-                (v_b[0][rows], v_b[1][rows]))
-
-        _share(scale, _panels(v_b[0].shape[0]))
-        return out
-
-    return tuple(None if x is None else dd_matmul(a_t, scaled(x)) for x in c)
+    return _times_real(((v_a[0].T, v_a[1].T), None), c, v_b)
 
 
 def _thermal_overlap(lm, ln, beta, n_max, eigensystems):
@@ -824,11 +835,10 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
 
     The double-double form of ``fock.numeric_s_reversal``, Tr(P Q).  G12
     and G34 are real, so each time forms its two complex x real
-    products as two real dd matmuls, the real and imaginary rows of the
-    complex factor stacked into one operand, which the product then
-    overwrites: the real factor is sliced once per product.  The
-    overlaps are built once per call; ``eigensystems`` is shared as in
-    s_free_x, thermal overlap G_theta included.
+    products G_theta D3 G34 and G41 D1 G12 with _times_real, one
+    dd_matmul each, as _overlap forms the overlaps.  The overlaps are
+    built once per call; ``eigensystems`` is shared as in s_free_x,
+    thermal overlap G_theta included.
     """
     if eigensystems is None:
         eigensystems = {}
@@ -840,37 +850,14 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
     g34, _ = _overlap(systems[2], systems[3])
     g41 = _overlap(systems[3], systems[0])
 
-    def times_real(mat, col_phase, real):
-        """(mat D) @ real, D = diag(col_phase), in one dd_matmul.
-
-        Its left operand stacks the real rows of mat D over the
-        imaginary ones, each row panel formed in place, and the product
-        is written over it; its top and bottom halves are the real and
-        imaginary parts.
-        """
-        n = real[0].shape[0]
-        stacked = np.empty((2 * n, n)), np.empty((2 * n, n))
-        phase = _cdd_map(lambda x: x[None, :], col_phase)
-
-        def scale(rows):
-            re, im = cdd_mul(_cdd_map(lambda x: x[rows], mat), phase)
-            stacked[0][rows], stacked[1][rows] = re
-            below = slice(rows.start + n, rows.stop + n)
-            stacked[0][below], stacked[1][below] = im
-
-        _share(scale, _panels(n))
-        dd_matmul(stacked, real, out=stacked)
-        return ((stacked[0][:n], stacked[1][:n]),
-                (stacked[0][n:], stacked[1][n:]))
-
     def trace(t_F, t_B):
         """Tr(P Q) at one time; its P and Q die before the next time's."""
         p1 = _cis(dd_mul_f(systems[0][0], -t_B))
         p2 = _cis(dd_mul_f(systems[1][0], -t_F))
         p3 = _cis(dd_mul_f(systems[2][0], t_F))
         p4 = _cis(dd_mul_f(systems[3][0], t_B))
-        p_mat = times_real(g_theta, p3, g34)
-        q_mat = times_real(g41, p1, g12)
+        p_mat = _times_real(g_theta, p3, g34)
+        q_mat = _times_real(g41, p1, g12)
         # Tr(P Q) = sum_jl p2_j (G_theta D3 G34)_jl p4_l (G41 D1 G12)_lj
         return _bilinear(p_mat, q_mat, p2, p4)
 

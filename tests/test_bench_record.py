@@ -1,7 +1,10 @@
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
+
+import pytest
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / (
     "bench_record.py")
@@ -102,9 +105,10 @@ def test_main_pairs_each_run_with_the_parent_commit(tmp_path, monkeypatch):
                 "result": _result(2.0 if side(checkout) == new else 1.0,
                                   30.0)}
 
-    def fake_fock(checkout):
-        calls.append(("fock", side(checkout), checkout))
-        return 5.0 if side(checkout) == new else 4.0
+    def fake_fock(checkout, pinned):
+        calls.append(("fock" if pinned else "fock_default_blas",
+                      side(checkout), checkout))
+        return (5.0 if side(checkout) == new else 4.0) + (not pinned)
 
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "run_workload", fake_workload)
@@ -113,13 +117,15 @@ def test_main_pairs_each_run_with_the_parent_commit(tmp_path, monkeypatch):
                         lambda checkout: {"summary": side(checkout)})
     assert bench_record.main(["7", str(repo)]) == 0
 
-    # each run of each workload, then of the oracle, is one pair; the
-    # change goes first in runs 1 and 3, the parent in run 2
+    # each run of each workload, then of the oracle on one BLAS thread
+    # and with the default count, is one pair; the change goes first in
+    # runs 1 and 3, the parent in run 2
     order = [(new, old), (old, new), (new, old)]
     assert [(name, commit) for name, commit, _ in calls] == [
         (name, commit) for pair in order for name in ("w1", "w2")
         for commit in pair] + [
-        ("fock", commit) for pair in order for commit in pair]
+        (name, commit) for name in ("fock", "fock_default_blas")
+        for pair in order for commit in pair]
     # the parent ran in a temporary clone, removed afterwards
     clones = {path for _, commit, path in calls if commit == old}
     assert len(clones) == 1 and not clones.pop().exists()
@@ -138,3 +144,30 @@ def test_main_pairs_each_run_with_the_parent_commit(tmp_path, monkeypatch):
                 "runs": [_result(value, 30.0)] * 3}
         assert got["fock_full_runs_s"] == [fock] * 3
         assert got["fock_full_s"] == fock
+        assert got["fock_full_default_blas_runs_s"] == [fock + 1] * 3
+        assert got["fock_full_default_blas_s"] == fock + 1
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_fock_full_pins_or_unsets_the_blas_threads(tmp_path, monkeypatch,
+                                                   pinned):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    runs = []
+
+    def fake_run(args, cwd, env, capture_output, text):
+        runs.append((args, cwd, env))
+        return subprocess.CompletedProcess(args, 0, "", "")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    assert bench_record.fock_full(tmp_path, pinned) >= 0.0
+    (args, cwd, env), = runs
+    assert args[1:] == ["-m", "pairdeco.cli", "oracle", "fock"]
+    assert cwd == tmp_path
+    assert env["PYTHONPATH"] == os.pathsep.join([str(tmp_path / "src"),
+                                                 "elsewhere"])
+    threads = {name: env.get(name) for name in bench_record.BLAS_THREAD_VARS}
+    assert threads == dict.fromkeys(bench_record.BLAS_THREAD_VARS,
+                                    "1" if pinned else None)

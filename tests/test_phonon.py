@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from collections import namedtuple
@@ -246,6 +247,37 @@ def test_discrete_kernel_sums_window_warning(cfg):
         phonon.discrete_kernel_sums(cfg, 5e-12, (), 1000)
     with pytest.warns(UserWarning, match="window"):
         phonon.discrete_kernel_sums(cfg, 5e-12, (0.0, cfg.a), 100)
+
+
+@pytest.mark.parametrize("t, n1", [(5e-9, 100000), (1e-6, 100000),
+                                   (1e-12, 100000), (5e-12, 100)])
+def test_discrete_kernel_sums_window_warning_names_its_bounds(cfg, t, n1):
+    # the bounds it prints are the ones it checks, so they exclude t
+    with pytest.warns(UserWarning, match="window") as caught:
+        phonon.discrete_kernel_sums(cfg, t, (), n1)
+    lower, upper = map(float, re.search(r"window \[(\S+), (\S+)\] s",
+                                        str(caught[0].message)).groups())
+    assert lower == pytest.approx(10.0 * cfg.a / cfg.v_s, rel=1e-5)
+    assert upper == pytest.approx(n1 * cfg.a / (10.0 * cfg.v_s), rel=1e-5)
+    assert not lower <= t <= upper
+
+
+def test_ksum_suite_ignores_only_the_window_warning(monkeypatch):
+    # the suite's 1 us sums warn, and that warning alone is silenced
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracles.ksum_suite()["failures"] == 0
+    closed = phonon.closed_kernels
+
+    def warns(cfg_, t):
+        warnings.warn("overflow in a kernel", RuntimeWarning)
+        return closed(cfg_, t)
+
+    monkeypatch.setattr(phonon, "closed_kernels", warns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow in a kernel"):
+            oracles.ksum_suite()
 
 
 @pytest.mark.parametrize("n1", [1, 0, -4])

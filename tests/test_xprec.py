@@ -21,6 +21,10 @@ def _mp(x):
     return mpmath.mpf(x[0]) + mpmath.mpf(x[1])
 
 
+def _transpose(x):
+    return x[0].T.copy(), x[1].T.copy()
+
+
 def dd_from_mpf(value):
     """Scalar mpmath -> double-double."""
     hi = float(value)
@@ -297,9 +301,10 @@ def test_dd_matmul_overlap_operands_equal_dense(monkeypatch, mag):
     operands = []
     matmul = xp.dd_matmul
 
-    def captured(a, b):
-        operands.append((a, b))
-        return matmul(a, b)
+    def captured(a, b, **out):
+        # the operand is overwritten by its product
+        operands.append((tuple(x.copy() for x in a), b))
+        return matmul(a, b, **out)
 
     monkeypatch.setattr(xp, "dd_matmul", captured)
     eigensystems = {}
@@ -323,8 +328,8 @@ def test_dd_matmul_memory_at_oracle_size(monkeypatch, threads):
     sys_a = xp._mode_system(complex(-0.3), 1.0, 544, eigensystems)
     sys_b = xp._mode_system(complex(0.5), 1.0, 544, eigensystems)
     w = xp._thermal_weights(0.1, 544)
-    a = xp.dd_transpose(sys_a[1])
-    b = xp.dd_mul((w[0][:, None], w[1][:, None]), sys_b[1])
+    a = xp.dd_mul(_transpose(sys_a[1]), (w[0][None, :], w[1][None, :]))
+    b = sys_b[1]
     monkeypatch.setattr(xp, "_THREADS", threads)
     tracemalloc.start()
     try:
@@ -334,6 +339,27 @@ def test_dd_matmul_memory_at_oracle_size(monkeypatch, threads):
         tracemalloc.stop()
     assert product[0].shape == (545, 545)
     assert peak - current <= 10 * 2**20
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_overlap_memory_at_oracle_size(monkeypatch, threads):
+    # the grid-verify group's thermal overlap at n = 545 is one product
+    # written over its operand: 4.5 MiB of result and the product's work
+    # arrays, where a copy of V_a^T and a scaled copy of V_b took it to
+    # 21 MiB
+    eigensystems = {}
+    sys_a = xp._mode_system(complex(-0.3), 1.0, 544, eigensystems)
+    sys_b = xp._mode_system(complex(0.5), 1.0, 544, eigensystems)
+    w = xp._thermal_weights(0.1, 544)
+    monkeypatch.setattr(xp, "_THREADS", threads)
+    tracemalloc.start()
+    try:
+        re, im = xp._overlap(sys_a, sys_b, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert re[0].shape == (545, 545) and im is None
+    assert peak <= 14 * 2**20
 
 
 def test_dd_matmul_out_is_keyword_only():
@@ -395,7 +421,7 @@ def _gram_error(vectors):
     # V^T V - I in double-double: rounding the Gram matrix to float64
     # first would hide norm errors below 1.1e-16 on its diagonal
     n = vectors[0].shape[1]
-    gram = xp.dd_matmul(xp.dd_transpose(vectors), vectors)
+    gram = xp.dd_matmul(_transpose(vectors), vectors)
     return np.max(np.abs(xp.dd_to_float(xp.dd_sub(gram, xp.dd(np.eye(n))))))
 
 
@@ -572,7 +598,8 @@ def test_shared_lambda_overlaps_are_real():
 
 
 def _overlap_whole(sys_a, sys_b, weights=None):
-    # _overlap with diag(c w) V_b formed whole, on the calling thread
+    # _overlap with V_a^T diag(c w) formed whole, on the calling thread,
+    # and each part multiplied by V_b on its own
     (_, v_a, u_a), (_, v_b, u_b) = sys_a, sys_b
     ratio = xp.cdd_mul(u_a, (u_b[0], xp.dd_neg(u_b[1])))
     if ratio[1][0] == 0:
@@ -581,14 +608,15 @@ def _overlap_whole(sys_a, sys_b, weights=None):
     if weights is not None:
         c = xp.cdd_mul(c, (weights, None))
     return tuple(None if x is None else _dense_dd_matmul(
-        xp.dd_transpose(v_a), xp.dd_mul((x[0][:, None], x[1][:, None]), v_b))
+        xp.dd_mul(_transpose(v_a), (x[0][None, :], x[1][None, :])), v_b)
         for x in c)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_overlap_equals_whole_scaling(monkeypatch, weighted):
-    # diag(c w) V_b, formed on panels of rows, has the bits of the whole
-    # product; 151 rows leave a partial last panel, and c is complex
+    # V_a^T diag(c w), its real rows stacked over its imaginary ones and
+    # formed on panels of rows, gives the bits of the whole parts'
+    # products; 151 rows leave a partial last panel, and c is complex
     eigensystems = {}
     sys_a = xp._mode_system(0.3 + 0.4j, 1.0, 150, eigensystems)
     sys_b = xp._mode_system(-0.2j, 1.0, 150, eigensystems)
@@ -642,11 +670,12 @@ def test_dd_matmul_count_complex_pair(monkeypatch):
     pairs = [(0.5, 1.0), (1.0, 2.0), (0.2, 0.4)]
     xp.s_reversal_x(0.3, -0.2j, 1.0, pairs, -0.5, 30)
     # G12 and G34 stay real; G_theta and G41, whose c_j are powers of
-    # +-i, take two each
-    assert len(calls) == 6 + 2 * len(pairs)
+    # +-i, take one each too, their real and imaginary rows stacked
+    assert len(calls) == 4 + 2 * len(pairs)
+    assert calls[:4] == [(31, 31), (62, 31), (31, 31), (62, 31)]
 
 
-@pytest.mark.parametrize("ln, products", [(-0.3, 2 + 3), (-0.2j, 4 + 4)])
+@pytest.mark.parametrize("ln, products", [(-0.3, 2 + 3), (-0.2j, 2 + 3)])
 def test_group_forms_thermal_overlap_once(monkeypatch, ln, products):
     # s_free_x's first overlap is s_reversal_x's G_theta: one dict keeps
     # it for both calls, with the bits of separate calls
@@ -830,7 +859,8 @@ def test_windowed_slicing_equals_whole_at_threshold(monkeypatch, k):
 
 
 def test_stacked_product_equals_separate_products(monkeypatch):
-    # per time, s_reversal_x stacks the real rows of G D over the
+    # the complex overlaps G_theta and G41, and per time s_reversal_x's
+    # complex x real products, stack the real rows of G D over the
     # imaginary ones; 2 x 151 rows put both parts in one 64-row panel
     n = 151
     operands = []
@@ -848,10 +878,11 @@ def test_stacked_product_equals_separate_products(monkeypatch):
     monkeypatch.setattr(xp, "_THREADS", 2)
     xp.s_reversal_x(0.3, -0.2j, 1.0, [(0.5, 1.0)], -0.5, n - 1)
     monkeypatch.undo()
+    # every product, the real overlaps' too, is written over its operand
+    assert [op[3] for op in operands] == [True] * 6
     stacked = [op for op in operands if op[0][0].shape == (2 * n, n)]
-    assert len(stacked) == 2
-    for a, b, in_place, was_in_place in stacked:
-        assert was_in_place
+    assert len(stacked) == 4
+    for a, b, in_place, _ in stacked:
         whole = xp.dd_matmul(a, b)
         assert _same_bits(in_place, whole)
         for half in (slice(0, n), slice(n, 2 * n)):
