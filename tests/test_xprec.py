@@ -345,8 +345,7 @@ def test_dd_matmul_memory_at_oracle_size(monkeypatch, threads):
 def test_overlap_memory_at_oracle_size(monkeypatch, threads):
     # the grid-verify group's thermal overlap at n = 545 is one product
     # written over its operand: 4.5 MiB of result and the product's work
-    # arrays, where a copy of V_a^T and a scaled copy of V_b took it to
-    # 21 MiB
+    # arrays, with no room for a 4.5 MiB copy of either factor
     eigensystems = {}
     sys_a = xp._mode_system(complex(-0.3), 1.0, 544, eigensystems)
     sys_b = xp._mode_system(complex(0.5), 1.0, 544, eigensystems)
