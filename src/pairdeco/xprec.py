@@ -48,10 +48,18 @@ tridiag_eigh_dd's normalization, projection and correction and
 _bilinear's products work on each panel's nonzero window alone.  All
 give the bits of the whole-width passes; sums whose pairing depends on
 the length run over the whole length, zeros embedded.
+
+An oracle group's s_free_x and s_reversal_x calls share one
+``eigensystems`` dict.  It keeps what both calls use: the f = 1
+eigensystems of lambda_m and lambda_n and their thermal overlap.  The
+back-pulse (f_B) eigensystems serve s_reversal_x alone, which keeps
+them out of the dict; their eigenvectors, 4.75 MiB each at n = 545,
+die once its overlaps are formed, before its trace loop.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import threading
@@ -754,7 +762,8 @@ def _thermal_overlap(lm, ln, beta, n_max, eigensystems):
 
     It is s_free_x's first overlap and s_reversal_x's G_theta, so
     ``eigensystems`` keeps it under (lm, ln, beta, n_max) for the other
-    call of a group.
+    call of a group, beside the two f = 1 systems it is formed from.
+    The dict keeps no other entry: the back-pulse systems stay out.
     """
     key = (lm, ln, beta, n_max)
     if key not in eigensystems:
@@ -813,9 +822,12 @@ def s_free_x(lambda_m, lambda_n, beta, times, n_max, eigensystems=None):
     and overlaps do not depend on t and are built once per call; each
     time adds only its two phase vectors and the weighted sum.  Calls
     at one cutoff that pass the same ``eigensystems`` dict build each
-    distinct tridiagonal once between them; the dict also keeps the
-    thermal overlap V_m^T diag(c w) V_n, which s_reversal_x's G_theta
-    at the same (lambda_m, lambda_n, beta, n_max) reuses.
+    distinct tridiagonal once between them.  The dict keeps the f = 1
+    systems of lambda_m and lambda_n and the thermal overlap
+    V_m^T diag(c w) V_n, which s_reversal_x's G_theta at the same
+    (lambda_m, lambda_n, beta, n_max) reuses; s_reversal_x's back-pulse
+    systems do not enter it, and their eigenvectors die before its
+    trace loop.
     """
     if eigensystems is None:
         eigensystems = {}
@@ -837,18 +849,31 @@ def s_reversal_x(lambda_m, lambda_n, beta, times, f_B, n_max,
     and G34 are real, so each time forms its two complex x real
     products G_theta D3 G34 and G41 D1 G12 with _times_real, one
     dd_matmul each, as _overlap forms the overlaps.  The overlaps are
-    built once per call; ``eigensystems`` is shared as in s_free_x,
-    thermal overlap G_theta included.
+    built once per call.  ``eigensystems`` is shared as in s_free_x: it
+    keeps the f = 1 systems and the thermal overlap G_theta.  The
+    back-pulse (f_B) systems serve this call alone: they are looked up
+    in it, which finds the f = 1 ones when f_B = +-1, but a new one is
+    built into a call-local overlay.  Their eigenvectors, and the f = 1
+    ones too when no dict is passed, die once the overlaps are formed,
+    before the first time's trace, as the traces read only the
+    eigenvalues.
     """
     if eigensystems is None:
         eigensystems = {}
     lm, ln = complex(lambda_m), complex(lambda_n)
-    systems = [_mode_system(lam, f, n_max, eigensystems)
-               for lam, f in ((lm, f_B), (lm, 1.0), (ln, 1.0), (ln, f_B))]
+    # the f = 1 systems first, so that f_B = +-1 finds them in the dict
+    forward = [_mode_system(lam, 1.0, n_max, eigensystems) for lam in (lm, ln)]
+    overlay = collections.ChainMap({}, eigensystems)
+    systems = [_mode_system(lm, f_B, n_max, overlay), *forward,
+               _mode_system(ln, f_B, n_max, overlay)]
     g12, _ = _overlap(systems[0], systems[1])
     g_theta = _thermal_overlap(lm, ln, beta, n_max, eigensystems)
     g34, _ = _overlap(systems[2], systems[3])
     g41 = _overlap(systems[3], systems[0])
+    # the traces read only eigenvalues: every eigenvector that a caller's
+    # dict does not keep dies here
+    systems = [(eigvals, u) for eigvals, _, u in systems]
+    del forward, overlay, eigensystems
 
     def trace(t_F, t_B):
         """Tr(P Q) at one time; its P and Q die before the next time's."""

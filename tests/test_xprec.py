@@ -361,6 +361,26 @@ def test_overlap_memory_at_oracle_size(monkeypatch, threads):
     assert peak <= 14 * 2**20
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_group_memory_at_oracle_size(monkeypatch, threads):
+    # the grid-verify group at n = 545: its dict keeps the f = 1
+    # systems and the thermal overlap, 13.7-14.2 MiB, through the
+    # reversal call, whose f_B eigenvectors, 9.5 MiB, die before its
+    # trace loop; holding them there peaks at 62.3-65.0 MiB
+    eigensystems = {}
+    monkeypatch.setattr(xp, "_THREADS", threads)
+    tracemalloc.start()
+    try:
+        xp.s_free_x(-0.3, 0.5, 0.1, [math.pi], 544, eigensystems)
+        tracemalloc.reset_peak()
+        xp.s_reversal_x(-0.3, 0.5, 0.1, [(math.pi / 3, 2 * math.pi / 3)],
+                        -0.5, 544, eigensystems)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 59 * 2**20
+
+
 def test_dd_matmul_out_is_keyword_only():
     # perfbench's flop counter reads a third positional argument as a
     # slice count, so ``out`` cannot be passed by position
@@ -584,6 +604,36 @@ def test_group_builds_each_tridiagonal_once(monkeypatch):
     # a free trace at the same cutoff reuses them
     xp.s_free_x(0.3, -0.3, 1.0, [1.5], 40, eigensystems)
     assert len(builds) == 2
+
+
+def _count_tridiag_builds(monkeypatch):
+    builds = []
+    build = xp.tridiag_eigh_dd
+
+    def counted(diag, off):
+        builds.append(float(off[0][0]))  # |f lambda| * sqrt(1)
+        return build(diag, off)
+
+    monkeypatch.setattr(xp, "tridiag_eigh_dd", counted)
+    return builds
+
+
+@pytest.mark.parametrize("f_b", [-0.5, -1.0, 1.0])
+def test_group_keeps_only_shared_entries(monkeypatch, f_b):
+    # the group's dict keeps the f = 1 systems and the thermal overlap;
+    # a back-pulse system serves its reversal call alone
+    builds = _count_tridiag_builds(monkeypatch)
+    eigensystems = {}
+    xp.s_free_x(0.3, -0.4, 1.0, [1.5], 40, eigensystems)
+    xp.s_reversal_x(0.3, -0.4, 1.0, [(0.5, 1.0)], f_b, 40, eigensystems)
+    systems = sorted(key[1] for key in eigensystems if len(key) == 3)
+    assert systems == pytest.approx([0.3, 0.4])
+    assert (0.3, -0.4, 1.0, 40) in eigensystems and len(eigensystems) == 3
+    # f_B = +-1 finds the f = 1 systems, whichever call builds them
+    builds.clear()
+    xp.s_reversal_x(0.3, -0.4, 1.0, [(0.5, 1.0)], f_b, 40)
+    back = [] if abs(f_b) == 1.0 else [0.15, 0.2]
+    assert sorted(builds) == pytest.approx(sorted(back + [0.3, 0.4]))
 
 
 def test_shared_lambda_overlaps_are_real():
